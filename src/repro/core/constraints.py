@@ -31,6 +31,7 @@ immediately" on such circuits (Sec. VI discussion of b18/b14 rows).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..graph.retiming_graph import RetimingGraph
-from ..graph.timing import BoundaryLabels, boundary_labels
+from ..graph.timing import BoundaryLabels, critical_path, label_lists
 
 
 @dataclass(frozen=True)
@@ -217,53 +218,57 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
         return out
 
     if labels is None:
-        labels = boundary_labels(graph, r, problem.phi, problem.setup,
-                                 problem.hold,
-                                 hold_at_outputs=problem.hold_at_outputs)
+        L, R, _, _, lsucc, rsucc = label_lists(
+            graph, weights, problem.phi, problem.setup, problem.hold,
+            problem.hold_at_outputs)
+    else:
+        L, R = labels.L.tolist(), labels.R.tolist()
+        lsucc, rsucc = labels.lsucc.tolist(), labels.rsucc.tolist()
 
     # ---- P2': shortest register-to-register paths --------------------
     if not skip_p2:
-        found = _check_p2(problem, weights, labels, delta, limit)
+        found = _check_p2(problem, weights, R, rsucc, delta, limit)
         if found:
             return found
 
     # ---- P1': setup / longest paths ----------------------------------
-    violation = _check_p1(problem, weights, labels, delta)
+    violation = _check_p1(problem, L, lsucc, delta)
     return [violation] if violation is not None else []
 
 
-def _check_p2(problem: Problem, weights: np.ndarray,
-              labels: BoundaryLabels, delta: np.ndarray | None,
+def _check_p2(problem: Problem, weights: np.ndarray, R: list[float],
+              rsucc: list[int], delta: np.ndarray | None,
               limit: int | None) -> list[Violation]:
     graph = problem.graph
     u_arr, v_arr, _ = graph.edge_arrays()
-    delays = np.asarray(graph.delays)
-    registered = np.nonzero((weights > 0) & (v_arr != 0))[0]
+    registered = np.flatnonzero((weights > 0) & (v_arr != 0))
     if not registered.size:
         return []
-    fanouts = v_arr[registered]
-    sp = delays[fanouts] + (problem.phi + problem.hold
-                            - labels.R[fanouts])
-    finite = np.isfinite(labels.R[fanouts])
-    bad = registered[finite & (sp < problem.rmin - problem.eps)]
+    out_edges = graph.out_edges
+    delays = graph.delays
+    names = graph.names
+    isfinite = math.isfinite
+    window = problem.phi + problem.hold
+    bound = problem.rmin - problem.eps
+    w_list: list[int] | None = None
 
     out: list[Violation] = []
     seen_targets: set[tuple[int, int]] = set()
-    for eidx in bad:
-        e = graph.edges[int(eidx)]
-        v = e.v
-        sp_v = float(delays[v] + (problem.phi + problem.hold
-                                  - labels.R[v]))
+    for eidx, u, v in zip(registered.tolist(), u_arr[registered].tolist(),
+                          v_arr[registered].tolist()):
+        if not isfinite(R[v]):
+            continue
+        sp_v = delays[v] + (window - R[v])
+        if not sp_v < bound:
+            continue
+        if w_list is None:
+            w_list = weights.tolist()
         # Critical shortest path v -> ... -> z; its terminal register
         # sits on some registered out-edge (z, y).
-        path = labels.shortest_path_vertices(v)
+        path = critical_path(rsucc, v)
         z = path[-1]
-        y_edge = None
-        for out_idx in graph.out_edges[z]:
-            if weights[out_idx] > 0:
-                y_edge = out_idx
-                break
-        mover = _first_mover(delta, [e.u, z, *path])
+        y_edge = next((i for i in out_edges[z] if w_list[i] > 0), None)
+        mover = _first_mover(delta, [u, z, *path])
         if y_edge is None or graph.edges[y_edge].v == 0:
             # Terminal is a primary output (or a register guarding one):
             # registers cannot be pushed into the host -- unfixable
@@ -273,43 +278,47 @@ def _check_p2(problem: Problem, weights: np.ndarray,
                 continue
             seen_targets.add(key)
             out.append(Violation(
-                kind="P2", p=mover, q=0, deficit=0, edge=int(eidx),
+                kind="P2", p=mover, q=0, deficit=0, edge=eidx,
                 vertex=v,
                 note=(f"short path {sp_v:.3f} < R_min "
-                      f"{problem.rmin:.3f} from {graph.names[v]} ends "
+                      f"{problem.rmin:.3f} from {names[v]} ends "
                       f"at a primary output")))
         else:
             y = graph.edges[y_edge].v
-            deficit = int(weights[y_edge])
+            deficit = w_list[y_edge]
             key = (mover, y)
             if key in seen_targets:
                 continue
             seen_targets.add(key)
             out.append(Violation(
-                kind="P2", p=mover, q=y, deficit=deficit, edge=int(eidx),
+                kind="P2", p=mover, q=y, deficit=deficit, edge=eidx,
                 vertex=v,
                 note=(f"short path {sp_v:.3f} < R_min "
-                      f"{problem.rmin:.3f} from {graph.names[v]}; clear "
-                      f"{deficit} registers off {graph.names[z]} -> "
-                      f"{graph.names[y]}")))
+                      f"{problem.rmin:.3f} from {names[v]}; clear "
+                      f"{deficit} registers off {names[z]} -> "
+                      f"{names[y]}")))
         if limit is not None and len(out) >= limit:
             break
     return out
 
 
-def _check_p1(problem: Problem, weights: np.ndarray,
-              labels: BoundaryLabels,
+def _check_p1(problem: Problem, L: list[float], lsucc: list[int],
               delta: np.ndarray | None) -> Violation | None:
     graph = problem.graph
-    delays = np.asarray(graph.delays)
-    slack = np.where(np.isfinite(labels.L), labels.L - delays, 0.0)
-    slack[0] = 0.0
-    worst = int(np.argmin(slack))
-    worst_slack = float(slack[worst])
+    delays = graph.delays
+    isfinite = math.isfinite
+    # First vertex of minimal setup slack L(v) - d(v); unobservable
+    # vertices and the host have slack 0.
+    worst, worst_slack = 0, 0.0
+    for v in range(1, graph.n_vertices):
+        if isfinite(L[v]):
+            slack = L[v] - delays[v]
+            if slack < worst_slack:
+                worst, worst_slack = v, slack
     if worst_slack >= -problem.eps:
         return None
 
-    path = labels.longest_path_vertices(worst)
+    path = critical_path(lsucc, worst)
     z = path[-1]
     if z == worst and len(path) == 1:
         raise InfeasibleError(

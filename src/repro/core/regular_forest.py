@@ -244,57 +244,68 @@ class RegularForest:
         max-gain closed set under A -- with an explicit optimization
         instead of the incremental regularity maintenance of [20]; both
         give a closed set whose move strictly improves the objective.
+        A call costs O(|V|): each vertex is visited once.
         """
         n = self.n_vertices
-        delta = np.zeros(n, dtype=np.int64)
-        visited = [False] * n
+        b = self.b.tolist()
+        weight = self.weight
+        parent = self.parent
+        children = self.children
+        drags_parent = self.drags_parent
+        pinned = self.pinned
+        delta = [0] * n
+        # Per-vertex DP states, allocated once per call rather than per
+        # tree: each tree writes its members' states before reading them.
+        f_in = [0] * n
+        f_out = [0] * n
         NEG = -(1 << 62)
 
         for start in range(n):
-            if visited[start] or self.parent[start] >= 0:
+            if parent[start] >= 0:
                 continue
-            # Iterative post-order over the tree rooted at `start`.
-            order: list[int] = []
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                visited[v] = True
-                order.append(v)
-                stack.extend(self.children[v])
-            f_in = [0] * n
-            f_out = [0] * n
+            if not children[start]:
+                # Singleton tree: in alone, or nothing.
+                if start != pinned and b[start] * weight[start] > 0:
+                    delta[start] = weight[start]
+                continue
+            # Breadth-first order: every child comes after its parent, so
+            # the reversed order visits children first.
+            order = [start]
+            for v in order:
+                order.extend(children[v])
             for v in reversed(order):
-                gain = NEG if v == self.pinned \
-                    else int(self.b[v]) * self.weight[v]
-                acc_in = gain
+                acc_in = NEG if v == pinned else b[v] * weight[v]
                 acc_out = 0
-                for c in self.children[v]:
-                    if self.drags_parent[c]:
+                for c in children[v]:
+                    c_in = f_in[c]
+                    c_out = f_out[c]
+                    best = c_in if c_in > c_out else c_out
+                    if drags_parent[c]:
                         # (c, v): c in => v in; v out forces c out.
-                        acc_in += max(f_in[c], f_out[c])
-                        acc_out += f_out[c]
+                        acc_in += best
+                        acc_out += c_out
                     else:
                         # (v, c): v in => c in.
-                        acc_in += f_in[c]
-                        acc_out += max(f_in[c], f_out[c])
-                f_in[v] = max(acc_in, NEG)
+                        acc_in += c_in
+                        acc_out += best
+                f_in[v] = acc_in if acc_in > NEG else NEG
                 f_out[v] = acc_out
-            if max(f_in[start], f_out[start]) <= 0:
+            if f_in[start] <= 0 and f_out[start] <= 0:
                 continue
             # Backtrack the optimal states.
             choose = [(start, f_in[start] > f_out[start])]
             while choose:
                 v, inside = choose.pop()
                 if inside:
-                    delta[v] = self.weight[v]
-                for c in self.children[v]:
-                    if self.drags_parent[c]:
+                    delta[v] = weight[v]
+                for c in children[v]:
+                    if drags_parent[c]:
                         child_in = f_in[c] > f_out[c] if inside else False
                     else:
                         child_in = True if inside \
                             else f_in[c] > f_out[c]
                     choose.append((c, child_in))
-        return delta
+        return np.array(delta, dtype=np.int64)
 
     def reset(self) -> None:
         """Drop all constraints and reset all weights to 1 (new pass)."""

@@ -266,29 +266,32 @@ class RetimingGraph:
         (i.e. ``r`` leaves a register-free loop, which no clock period can
         accommodate).
         """
-        weights = self.retimed_weights(r)
+        return self.zero_weight_order(self.retimed_weights(r))
+
+    def zero_weight_order(self, weights: np.ndarray) -> list[int]:
+        """:meth:`zero_weight_topo` from precomputed ``w_r`` edge weights."""
         u, v, _ = self.edge_arrays()
         n = self.n_vertices
         mask = (weights == 0) & (u != 0) & (v != 0)
-        us = u[mask].tolist()
-        vs = v[mask].tolist()
-        indegree = np.bincount(v[mask], minlength=n)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for uu, vv in zip(us, vs):
-            succ[uu].append(vv)
+        indegree = np.bincount(v[mask], minlength=n).tolist()
+        # Sink of every zero-weight gate-to-gate edge, 0 for the others.
+        succ = np.where(mask, v, 0).tolist()
+        out_edges = self.out_edges
         stack = [x for x in range(1, n) if indegree[x] == 0]
         order: list[int] = []
         while stack:
             node = stack.pop()
             order.append(node)
-            for s in succ[node]:
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    stack.append(s)
+            for eidx in out_edges[node]:
+                s = succ[eidx]
+                if s:
+                    indegree[s] -= 1
+                    if indegree[s] == 0:
+                        stack.append(s)
         if len(order) != n - 1:
             # Slow path only to produce a helpful cycle message.
             preds: list[list[int]] = [[] for _ in range(n)]
-            for uu, vv in zip(us, vs):
+            for uu, vv in zip(u[mask].tolist(), v[mask].tolist()):
                 preds[vv].append(uu)
             try:
                 topological_order(range(1, n), lambda x: preds[x])

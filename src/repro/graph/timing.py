@@ -36,17 +36,20 @@ def arrival_times(graph: RetimingGraph,
     retiming leaves a register-free cycle.
     """
     weights = graph.retimed_weights(r)
-    order = graph.zero_weight_topo(r)
-    delta = np.zeros(graph.n_vertices, dtype=float)
+    order = graph.zero_weight_order(weights)
+    # Source of every zero-weight edge out of a gate, 0 for the others.
+    pred = np.where(weights == 0, graph.edge_arrays()[0], 0).tolist()
+    in_edges = graph.in_edges
+    delays = graph.delays
+    delta = [0.0] * graph.n_vertices
     for v in order:
         best = 0.0
-        for eidx in graph.in_edges[v]:
-            e = graph.edges[eidx]
-            if weights[eidx] == 0 and e.u != 0:
-                if delta[e.u] > best:
-                    best = delta[e.u]
-        delta[v] = graph.delays[v] + best
-    return delta
+        for eidx in in_edges[v]:
+            u = pred[eidx]
+            if u and delta[u] > best:
+                best = delta[u]
+        delta[v] = delays[v] + best
+    return np.array(delta, dtype=float)
 
 
 def achieved_period(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
@@ -95,21 +98,25 @@ class BoundaryLabels:
 
     def shortest_path_vertices(self, v: int) -> list[int]:
         """Vertices of the critical shortest path ``v -> ... -> rt(v)``."""
-        path = [v]
-        while self.rsucc[path[-1]] >= 0:
-            path.append(int(self.rsucc[path[-1]]))
-        return path
+        return critical_path(self.rsucc, v)
 
     def longest_path_vertices(self, v: int) -> list[int]:
         """Vertices of the critical longest path ``v -> ... -> lt(v)``."""
-        path = [v]
-        while self.lsucc[path[-1]] >= 0:
-            path.append(int(self.lsucc[path[-1]]))
-        return path
+        return critical_path(self.lsucc, v)
 
     def observable(self) -> np.ndarray:
         """Boolean mask of vertices with a non-empty latching window."""
         return np.isfinite(self.L)
+
+
+def critical_path(succ: Sequence[int] | np.ndarray, v: int) -> list[int]:
+    """The path ``v -> succ[v] -> ...`` up to the vertex whose successor
+    is ``-1``: a critical path when ``succ`` is ``lsucc`` or ``rsucc``."""
+    path = [v]
+    while succ[v] >= 0:
+        v = int(succ[v])
+        path.append(v)
+    return path
 
 
 def boundary_labels(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
@@ -135,37 +142,58 @@ def boundary_labels(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
     initialization, where hold constrains register-to-register paths
     only; the paper's P2' keeps the default True).
     """
-    weights = graph.retimed_weights(r)
-    order = graph.zero_weight_topo(r)
+    L, R, lt, rt, lsucc, rsucc = label_lists(
+        graph, graph.retimed_weights(r), phi, setup, hold, hold_at_outputs)
+    return BoundaryLabels(
+        L=np.array(L, dtype=float), R=np.array(R, dtype=float),
+        lt=np.array(lt, dtype=np.int64), rt=np.array(rt, dtype=np.int64),
+        lsucc=np.array(lsucc, dtype=np.int64),
+        rsucc=np.array(rsucc, dtype=np.int64),
+        phi=phi, setup=setup, hold=hold)
+
+
+def label_lists(graph: RetimingGraph, weights: np.ndarray, phi: float,
+                setup: float, hold: float, hold_at_outputs: bool,
+                ) -> tuple[list[float], list[float], list[int], list[int],
+                           list[int], list[int]]:
+    """:func:`boundary_labels` as plain lists ``(L, R, lt, rt, lsucc,
+    rsucc)``, from the retimed edge weights ``w_r``.
+
+    One O(|V| + |E|) pass in reverse topological order over the
+    zero-weight subgraph; the constraint checker consumes the lists
+    directly.
+    """
+    order = graph.zero_weight_order(weights)
+    # Per edge: -1 when registered, else its sink (0 = primary output).
+    fanout = np.where(weights > 0, -1, graph.edge_arrays()[1]).tolist()
+    out_edges = graph.out_edges
+    delays = graph.delays
+    isfinite = math.isfinite
     n = graph.n_vertices
-    L = np.full(n, math.inf)
-    R = np.full(n, -math.inf)
-    lt = np.full(n, -1, dtype=np.int64)
-    rt = np.full(n, -1, dtype=np.int64)
-    lsucc = np.full(n, -1, dtype=np.int64)
-    rsucc = np.full(n, -1, dtype=np.int64)
+    L = [math.inf] * n
+    R = [-math.inf] * n
+    lt = [-1] * n
+    rt = [-1] * n
+    lsucc = [-1] * n
+    rsucc = [-1] * n
     window_left = phi - setup
     window_right = phi + hold
 
     for u in reversed(order):
-        for eidx in graph.out_edges[u]:
-            e = graph.edges[eidx]
-            if e.v == 0 or weights[eidx] > 0:
+        for eidx in out_edges[u]:
+            v = fanout[eidx]
+            if v <= 0:  # latched: registered edge or primary output
                 if window_left < L[u]:
                     L[u] = window_left
                     lt[u] = u
                     lsucc[u] = -1
-                if weights[eidx] > 0 or hold_at_outputs:
-                    if window_right > R[u]:
-                        R[u] = window_right
-                        rt[u] = u
-                        rsucc[u] = -1
-            else:
-                v = e.v
-                if not math.isfinite(L[v]):
-                    continue  # fanout itself unobservable
-                left = L[v] - graph.delays[v]
-                right = R[v] - graph.delays[v]
+                if (v < 0 or hold_at_outputs) and window_right > R[u]:
+                    R[u] = window_right
+                    rt[u] = u
+                    rsucc[u] = -1
+            elif isfinite(L[v]):  # else the fanout is unobservable
+                left = L[v] - delays[v]
+                right = R[v] - delays[v]
                 if left < L[u]:
                     L[u] = left
                     lt[u] = lt[v]
@@ -174,8 +202,7 @@ def boundary_labels(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
                     R[u] = right
                     rt[u] = rt[v]
                     rsucc[u] = v
-    return BoundaryLabels(L=L, R=R, lt=lt, rt=rt, lsucc=lsucc, rsucc=rsucc,
-                          phi=phi, setup=setup, hold=hold)
+    return L, R, lt, rt, lsucc, rsucc
 
 
 def shortest_path_through(graph: RetimingGraph, labels: BoundaryLabels,

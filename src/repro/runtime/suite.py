@@ -766,11 +766,14 @@ def _run_suite_serial(config: SuiteConfig,
                       progress_events: Callable[[str, str], None] | None,
                       ) -> SuiteResult:
     if circuit_factory is None:
-        from ..circuits.suites import table1_circuit
+        from ..circuits.suites import DEFAULT_SCALE, table1_circuit
+
+        # ``scale=None`` (the dataclass default) means the suite default;
+        # the fingerprint keeps the configured value.
+        scale = DEFAULT_SCALE if config.scale is None else config.scale
 
         def circuit_factory(row_name: str) -> Circuit:
-            return table1_circuit(row_name, scale=config.scale,
-                                  seed=config.seed)
+            return table1_circuit(row_name, scale=scale, seed=config.seed)
 
     manifest: RunManifest | None = None
     if manifest_path is not None:

@@ -220,3 +220,68 @@ class TestRandomizedInvariants:
             best = max(best, sum(gains[v] * f.weight[v] for v in s))
         achieved = sum(gains[v] * f.weight[v] for v in chosen)
         assert achieved == best
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_large_sparse_forest_against_per_tree_brute_force(self, data):
+        """30-60 vertices, mostly singletons, move weights up to 4 and the
+        pinned host inside a non-singleton tree: the selection is closed,
+        every selected tree gains, and the total gain is the brute-force
+        maximum (trees are independent, so each is enumerated alone)."""
+        import itertools
+
+        n = data.draw(st.integers(30, 60))
+        gains = [0] + [data.draw(st.integers(-8, 8)) for _ in range(n - 1)]
+        f = forest(gains)
+        perm = data.draw(st.permutations(range(1, n)))
+        used = 0
+        for k in range(data.draw(st.integers(1, 4))):
+            size = data.draw(st.integers(2, 6))
+            if k and used + size > (n - 1) // 2:
+                break  # keep most vertices singletons
+            cluster = perm[used:used + size]
+            used += size
+            for _ in range(data.draw(st.integers(1, 2 * size))):
+                p = data.draw(st.sampled_from(cluster))
+                q = data.draw(st.sampled_from(cluster))
+                if p != q:
+                    f.add_constraint(p, q, data.draw(st.integers(1, 4)))
+            if k == 0:
+                f.pin_tree(data.draw(st.sampled_from(cluster)))
+        for v in perm[used:used + 5]:
+            f.set_weight(v, data.draw(st.integers(2, 4)))
+        assert not f.is_singleton(0)
+        singletons = sum(f.is_singleton(v) for v in range(1, n))
+        assert singletons >= n // 2
+
+        delta = f.positive_delta()
+        chosen = {v for v in range(n) if delta[v] > 0}
+        assert 0 not in chosen
+        assert all(delta[v] == f.weight[v] for v in chosen)
+        constraints = f.constraints()
+        for p, q in constraints:
+            if p in chosen:
+                assert q in chosen and q != 0
+
+        def gain(vertices):
+            return sum(gains[v] * f.weight[v] for v in vertices)
+
+        best_total = 0
+        roots = {f.root(v) for v in range(n)}
+        for root in roots:
+            members = f.tree_members(root)
+            picked = chosen.intersection(members)
+            if picked:
+                assert gain(picked) > 0
+            movable = [v for v in members if v != 0]
+            inner = [(p, q) for p, q in constraints
+                     if p in members or q in members]
+            best = 0
+            for k in range(1, len(movable) + 1):
+                for subset in itertools.combinations(movable, k):
+                    s = set(subset)
+                    if all(q in s for p, q in inner if p in s):
+                        best = max(best, gain(s))
+            assert gain(picked) == best
+            best_total += best
+        assert gain(chosen) == best_total

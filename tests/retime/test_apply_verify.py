@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import RetimingError, SimulationError
 from repro.graph.retiming_graph import RetimingGraph
@@ -130,3 +130,81 @@ class TestVerifyHelpers:
             tiny_circuit, mutated, cycles=8, n_patterns=64)
         assert not equal
         assert cycle >= 0
+
+
+def enumerate_cycles(graph):
+    """Every simple directed cycle of the non-host subgraph, as a list of
+    edge indices (parallel edges give distinct cycles)."""
+    cycles = []
+
+    def extend(start, node, path, on_path):
+        for eidx in graph.out_edges[node]:
+            v = graph.edges[eidx].v
+            if v == start:
+                cycles.append(path + [eidx])
+            elif v > start and v not in on_path:
+                extend(start, v, path + [eidx], on_path | {v})
+
+    for start in range(1, graph.n_vertices):
+        extend(start, start, [], {start})
+    return cycles
+
+
+def oracle_conserves(graph, r):
+    """sum w == sum w_r on every enumerated directed cycle."""
+    weights = graph.retimed_weights(r)
+    return all(sum(graph.edges[i].w for i in cycle)
+               == sum(int(weights[i]) for i in cycle)
+               for cycle in enumerate_cycles(graph))
+
+
+def random_graph(rng):
+    """A small multigraph with host edges, registered self-loops and
+    parallel edges."""
+    g = RetimingGraph()
+    n = int(rng.integers(2, 8))
+    for i in range(n):
+        g.add_vertex(f"v{i}", float(rng.integers(1, 4)))
+    for _ in range(int(rng.integers(n, 3 * n + 1))):
+        u, v = (int(x) for x in rng.integers(0, n + 1, 2))
+        w = int(rng.integers(0, 4))
+        if u == v:
+            w = max(w, 1)
+        g.add_edge(u, v, w)
+    return g
+
+
+class TestCycleWeightOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_agrees_with_cycle_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        r = rng.integers(-2, 3, g.n_vertices)
+        r[0] = 0
+        assert oracle_conserves(g, r)
+        assert check_cycle_weights(g, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_corrupted_cycle_edge_is_caught(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        cycles = enumerate_cycles(g)
+        assume(cycles)
+        cycle = cycles[int(rng.integers(0, len(cycles)))]
+        bad_edge = cycle[int(rng.integers(0, len(cycle)))]
+        r = rng.integers(-2, 3, g.n_vertices)
+        r[0] = 0
+        honest = RetimingGraph.retimed_weights
+
+        def corrupted(self, r):
+            weights = honest(self, r).copy()
+            weights[bad_edge] += 1
+            return weights
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RetimingGraph, "retimed_weights", corrupted)
+            assert not oracle_conserves(g, r)
+            assert not check_cycle_weights(g, r)
+        assert check_cycle_weights(g, r)

@@ -110,6 +110,27 @@ class TestRunSuite:
         assert result.degraded == []
         assert result.failures == []
 
+    def test_default_factory_falls_back_to_default_scale(self,
+                                                         monkeypatch):
+        """``SuiteConfig(scale=None)`` builds Table I rows at
+        ``DEFAULT_SCALE`` instead of failing each with TypeError."""
+        from repro.circuits import suites
+
+        real = suites.table1_circuit
+        requested = []
+
+        def spy(name, scale, seed):
+            requested.append(scale)
+            return real(name, scale=0.004, seed=seed)  # keep the run small
+
+        monkeypatch.setattr(suites, "table1_circuit", spy)
+        config = SuiteConfig(circuits=("s13207",), seed=0, n_frames=2,
+                             n_patterns=32, guard_patterns=16)
+        result = run_suite(config)
+        assert requested == [suites.DEFAULT_SCALE]
+        assert result.runs[0].status == "ok"
+        assert config.fingerprint()["scale"] is None
+
     def test_crash_isolation_skips_bad_circuit(self):
         def factory(name):
             if name == "alpha":
