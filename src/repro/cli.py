@@ -104,7 +104,6 @@ def _save(circuit, path: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .flatcore import core_mode
     from .graph.retiming_graph import RetimingGraph
     from .graph.timing import achieved_period
     from .ser.analysis import analyze_ser
@@ -119,25 +118,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.phi is None:
         graph = RetimingGraph.from_circuit(circuit)
         args.phi = achieved_period(graph, graph.zero_retiming(), setup)
-    with core_mode(args.core):
-        analysis = analyze_ser(circuit, args.phi, setup, hold,
-                               n_frames=args.frames,
-                               n_patterns=args.patterns, seed=args.seed)
+    analysis = analyze_ser(circuit, args.phi, setup, hold,
+                           n_frames=args.frames, n_patterns=args.patterns,
+                           seed=args.seed)
     print(format_ser_report(circuit.name, analysis, top=args.top))
     return 0
 
 
 def cmd_retime(args: argparse.Namespace) -> int:
-    from .flatcore import core_mode
     from .pipeline import optimize_circuit
 
     circuit = _load(args.netlist)
-    with core_mode(args.core):
-        result = optimize_circuit(
-            circuit, algorithms=(args.algorithm,), n_frames=args.frames,
-            n_patterns=args.patterns, seed=args.seed,
-            epsilon=args.epsilon, maximal_start=args.maximal_start,
-            deadline=args.deadline)
+    result = optimize_circuit(
+        circuit, algorithms=(args.algorithm,), n_frames=args.frames,
+        n_patterns=args.patterns, seed=args.seed, epsilon=args.epsilon,
+        maximal_start=args.maximal_start, deadline=args.deadline)
     outcome = result.outcomes[args.algorithm]
     print(f"circuit      : {circuit.name}")
     print(f"phi / R_min  : {result.phi:.3f} / {result.init.rmin:.3f}"
@@ -157,17 +152,15 @@ def cmd_retime(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .flatcore import core_mode
     from .pipeline import optimize_circuit, table1_row
     from .ser.report import format_comparison
 
     circuit = _load(args.netlist)
-    with core_mode(args.core):
-        result = optimize_circuit(circuit, n_frames=args.frames,
-                                  n_patterns=args.patterns,
-                                  seed=args.seed, epsilon=args.epsilon,
-                                  maximal_start=args.maximal_start,
-                                  deadline=args.deadline)
+    result = optimize_circuit(circuit, n_frames=args.frames,
+                              n_patterns=args.patterns, seed=args.seed,
+                              epsilon=args.epsilon,
+                              maximal_start=args.maximal_start,
+                              deadline=args.deadline)
     print(format_comparison([table1_row(result)]))
     return 0
 
@@ -188,8 +181,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         retry_backoff=args.retry_backoff,
         strict=args.strict, guard=not args.no_guard,
         workers=args.workers, cache=_use_cache(args),
-        cache_dir=args.cache_dir, trace_path=trace_path,
-        core=args.core)
+        cache_dir=args.cache_dir, trace_path=trace_path)
     progress = (lambda line: print(line, file=sys.stderr)) \
         if args.verbose else None
     try:
@@ -328,8 +320,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         n_patterns=args.patterns, deadline=args.deadline,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff, workers=args.workers,
-        cache=use_cache, cache_dir=cache_dir, trace_path=trace_path,
-        core=args.core)
+        cache=use_cache, cache_dir=cache_dir, trace_path=trace_path)
     # Kill mode arms only kill faults by default: a deterministic
     # always-firing fault would make every restart fail identically.
     kinds = args.kinds
@@ -391,8 +382,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.max_retries, retry_backoff=args.retry_backoff,
         cache=not args.no_cache, drain_after_idle=args.drain_after_idle,
         idle_grace=args.idle_grace, drain_timeout=args.drain_timeout,
-        verbose=args.verbose, core=args.core,
-        trace_path=trace_path, access_log=args.access_log,
+        verbose=args.verbose, trace_path=trace_path,
+        access_log=args.access_log,
         profile_path=args.profile,
         profile_interval=args.profile_interval)
     service = RetimingService(config)
@@ -511,7 +502,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         circuits=tuple(args.circuits) if args.circuits else None,
         workers=args.workers, cache=_use_cache(args),
         cache_dir=args.cache_dir, max_retries=args.max_retries,
-        trace_path=trace_path, core=args.core, progress=progress)
+        trace_path=trace_path, progress=progress)
     for key in sorted(result.cells):
         print(f"{key:36s} {result.statuses[key]:24s} "
               f"{result.cells[key][:23]}")
@@ -575,16 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation patterns K")
         p.add_argument("--seed", type=int, default=0)
 
-    def core_opts(p):
-        p.add_argument("--core", choices=("flat", "object", "auto"),
-                       default="auto",
-                       help="analysis engine: 'flat' (vectorized CSR "
-                            "arena), 'object' (reference netlist walk) "
-                            "or 'auto' (flat with object fallback; "
-                            "default).  Results are bit-identical "
-                            "either way -- the knob never enters cache "
-                            "keys or digests")
-
     p = sub.add_parser("analyze", help="SER analysis of a netlist")
     p.add_argument("netlist")
     p.add_argument("--phi", type=float, default=None,
@@ -592,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10,
                    help="contributors to list")
     common(p)
-    core_opts(p)
     p.set_defaults(func=cmd_analyze)
 
     def solver_opts(p):
@@ -649,14 +629,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the retimed netlist (.bench/.blif/.v)")
     common(p)
     solver_opts(p)
-    core_opts(p)
     p.set_defaults(func=cmd_retime)
 
     p = sub.add_parser("compare", help="MinObs vs MinObsWin on a netlist")
     p.add_argument("netlist")
     common(p)
     solver_opts(p)
-    core_opts(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("table1", help="regenerate Table I")
@@ -693,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_opts(p)
     trace_opts(p)
     profile_opts(p)
-    core_opts(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser(
@@ -753,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true")
     cache_opts(p)
     trace_opts(p)
-    core_opts(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -859,7 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(carries the request's trace id)")
     profile_opts(p)
     p.add_argument("-v", "--verbose", action="store_true")
-    core_opts(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -927,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true")
     cache_opts(p)
     trace_opts(p)
-    core_opts(p)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("generate", help="emit a synthetic benchmark")

@@ -107,9 +107,9 @@ def _circuit_elws_impl(circuit: Circuit, phi: float, setup: float,
                        hold: float) -> dict[str, IntervalSet]:
     window = latching_window(phi, setup, hold)
 
-    from ..flatcore import engine as flat_engine
+    from ..flatcore import arena
 
-    flat = flat_engine.flat_for(circuit)
+    flat = arena.flat_for(circuit)
     if flat is not None:
         from ..flatcore.kernels import circuit_elws_flat
 

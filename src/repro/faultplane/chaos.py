@@ -439,7 +439,6 @@ _RESUMED_RE = re.compile(r"^(?P<name>\S+): resumed from manifest")
 def table1_argv(circuits: list[str], manifest_path: str, *,
                 scale: float, seed: int = 0, frames: int = 15,
                 patterns: int = 256, workers: int = 1,
-                core: str = "auto",
                 extra: list[str] | None = None) -> list[str]:
     """CLI argv for one resumable ``table1`` child run."""
     argv = ["table1", *circuits, "--scale", repr(scale),
@@ -448,8 +447,6 @@ def table1_argv(circuits: list[str], manifest_path: str, *,
             "--verbose"]
     if workers > 1:
         argv.extend(["--workers", str(workers)])
-    if core != "auto":
-        argv.extend(["--core", core])
     if extra:
         argv.extend(extra)
     return argv
@@ -581,7 +578,7 @@ def run_kill_chaos(config, plan: FaultPlan, workdir: str,
     argv = table1_argv(list(config.circuits), manifest_path,
                        scale=config.scale, seed=config.seed,
                        frames=config.n_frames, patterns=config.n_patterns,
-                       workers=config.workers, core=config.core)
+                       workers=config.workers)
     harness = restart_until_complete(argv, plan, manifest_path, workdir,
                                      max_restarts=max_restarts,
                                      progress=progress)

@@ -170,7 +170,7 @@ def lower(circuit: Circuit) -> FlatCircuit:
     combinational cycle raises
     :class:`~repro.errors.CombinationalCycleError` exactly as the object
     engines would -- that is a property of the circuit, not of the
-    lowering, so it is *not* an object-core fallback case.
+    lowering.
     """
     from ..cache import timing_digest
 
@@ -330,6 +330,24 @@ def lower(circuit: Circuit) -> FlatCircuit:
         dff_d=dff_d, dff_init=dff_init,
         is_po=is_po, dff_read=dff_read,
         level=level, topo=topo, plans=plans)
+
+
+def flat_for(circuit: Circuit) -> FlatCircuit:
+    """The memoized arena of ``circuit``, lowered on a miss.
+
+    The single dispatch point of the analysis engines: callers look it
+    up as a module attribute at call time, so substituting it with
+    ``lambda circuit: None`` selects the object core -- the reference
+    the differential tests compare against.  The memo is invalidated by
+    any structural mutation of the circuit; a
+    :class:`~repro.errors.FlatCoreError` from :func:`lower` propagates.
+    Dispatch happens inside the ``cached()``-wrapped analysis impls,
+    beneath the key computation, so no cache key depends on the engine.
+    """
+    flat = circuit._flat_cache
+    if flat is None:
+        flat = circuit._flat_cache = lower(circuit)
+    return flat
 
 
 def _build_plans(op_code: np.ndarray, arity: np.ndarray,

@@ -196,9 +196,9 @@ def _analyze_ser_impl(circuit: Circuit, phi: float, setup: float,
                                      latch_width=latch_width)
 
     if derate is None and rate_model.name in ("library", "uniform", "area"):
-        from ..flatcore import engine as flat_engine
+        from ..flatcore import arena
 
-        flat = flat_engine.flat_for(circuit)
+        flat = arena.flat_for(circuit)
         if flat is not None:
             from ..flatcore.kernels import ser_totals_flat
 

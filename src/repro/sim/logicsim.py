@@ -93,9 +93,9 @@ def simulate_comb(circuit: Circuit, values: Mapping[str, np.ndarray],
     dict
         Signature for every net (inputs and flip-flop outputs included).
     """
-    from ..flatcore import engine as flat_engine
+    from ..flatcore import arena
 
-    flat = flat_engine.flat_for(circuit)
+    flat = arena.flat_for(circuit)
     if flat is not None:
         from ..flatcore.kernels import simulate_comb_flat
 

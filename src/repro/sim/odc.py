@@ -181,9 +181,9 @@ def _observability_impl(circuit: Circuit, n_frames: int, n_patterns: int,
     if warmup is None:
         warmup = n_frames
 
-    from ..flatcore import engine as flat_engine
+    from ..flatcore import arena
 
-    flat = flat_engine.flat_for(circuit)
+    flat = arena.flat_for(circuit)
     if flat is not None:
         from ..flatcore.kernels import observability_flat, record_frames_flat
 

@@ -16,6 +16,7 @@ cores); the full 36-cell sweep runs in the CI ``flatcore`` job under
 ``REPRO_FLATCORE_FULL=1``.
 """
 
+import contextlib
 import os
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.corpus import (
     tier_specs,
 )
 from repro.corpus.matrix import GOLDEN_BASENAME, compare_digest_tables
-from repro.flatcore import core_mode, lower, validate_flat
+from repro.flatcore import lower, validate_flat
 from repro.runtime.suite import clear_obs_cache
 from repro.ser.analysis import analyze_ser
 from repro.sim.bitvec import random_patterns
@@ -123,40 +124,37 @@ class TestRecorderRngContract:
 
 
 class TestStageEquality:
-    def test_simulation_bit_equal(self, circuit):
+    def test_simulation_bit_equal(self, circuit, object_core):
         values = input_values(circuit, PATTERNS)
-        with core_mode("object"):
+        with object_core():
             ref = simulate_comb(circuit, values, PATTERNS)
-        with core_mode("flat"):
-            out = simulate_comb(circuit, values, PATTERNS)
+        out = simulate_comb(circuit, values, PATTERNS)
         assert list(ref) == list(out)
         for net in ref:
             assert np.array_equal(ref[net], out[net]), net
             assert out[net].dtype == np.uint64
 
-    def test_simulation_with_force_bit_equal(self, circuit):
+    def test_simulation_with_force_bit_equal(self, circuit, object_core):
         values = input_values(circuit, PATTERNS)
         rng = np.random.default_rng(7)
         forced = {circuit.inputs[0]: random_patterns(PATTERNS, rng),
                   next(iter(circuit.gates)): random_patterns(PATTERNS,
                                                              rng)}
-        with core_mode("object"):
+        with object_core():
             ref = simulate_comb(circuit, values, PATTERNS, force=forced)
-        with core_mode("flat"):
-            out = simulate_comb(circuit, values, PATTERNS, force=forced)
+        out = simulate_comb(circuit, values, PATTERNS, force=forced)
         assert list(ref) == list(out)
         for net in ref:
             assert np.array_equal(ref[net], out[net]), net
 
-    def test_observability_bit_equal(self, circuit):
-        with core_mode("object"):
+    def test_observability_bit_equal(self, circuit, object_core):
+        with object_core():
             ref = observability(circuit, n_frames=FRAMES,
                                 n_patterns=PATTERNS, seed=SEED,
                                 keep_masks=True)
-        with core_mode("flat"):
-            out = observability(circuit, n_frames=FRAMES,
-                                n_patterns=PATTERNS, seed=SEED,
-                                keep_masks=True)
+        out = observability(circuit, n_frames=FRAMES,
+                            n_patterns=PATTERNS, seed=SEED,
+                            keep_masks=True)
         # dict *order* matters: it feeds digests downstream
         assert list(ref.obs) == list(out.obs)
         for net in ref.obs:
@@ -165,28 +163,26 @@ class TestStageEquality:
         for net in ref.masks:
             assert np.array_equal(ref.masks[net], out.masks[net]), net
 
-    def test_elws_bit_equal(self, circuit):
+    def test_elws_bit_equal(self, circuit, object_core):
         setup = circuit.library.setup_time
         hold = circuit.library.hold_time
-        with core_mode("object"):
+        with object_core():
             ref = circuit_elws(circuit, PHI, setup, hold)
-        with core_mode("flat"):
-            out = circuit_elws(circuit, PHI, setup, hold)
+        out = circuit_elws(circuit, PHI, setup, hold)
         assert list(ref) == list(out)
         for net in ref:
             assert ref[net].intervals == out[net].intervals, net
 
     @pytest.mark.parametrize("model", ["library", "uniform", "area"])
-    def test_ser_bit_equal(self, circuit, model):
+    def test_ser_bit_equal(self, circuit, model, object_core):
         def run():
             return analyze_ser(circuit, PHI, rate_model=model,
                                n_frames=FRAMES, n_patterns=PATTERNS,
                                seed=SEED)
 
-        with core_mode("object"):
+        with object_core():
             ref = run()
-        with core_mode("flat"):
-            out = run()
+        out = run()
         assert ref.total == out.total
         assert ref.comb == out.comb
         assert ref.reg == out.reg
@@ -200,33 +196,36 @@ class TestChecksumParity:
     never of the core that computed it."""
 
     @pytest.fixture(scope="class")
-    def object_cells(self):
+    def object_cells(self, object_core):
         clear_obs_cache()
-        return run_matrix("small", core="object", **SUBSET).cells
+        with object_core():
+            return run_matrix("small", **SUBSET).cells
 
     def test_flat_serial_matches_object(self, object_cells):
         clear_obs_cache()
-        flat = run_matrix("small", core="flat", **SUBSET)
+        flat = run_matrix("small", **SUBSET)
         assert flat.cells == object_cells
 
     def test_flat_two_workers_match_object_serial(self, object_cells):
         clear_obs_cache()
-        flat = run_matrix("small", core="flat", workers=2, **SUBSET)
+        flat = run_matrix("small", workers=2, **SUBSET)
         assert flat.cells == object_cells
 
-    def test_cores_share_one_cache(self, object_cells, tmp_path):
+    def test_cores_share_one_cache(self, object_cells, object_core,
+                                   tmp_path):
         # Flat results must land under the *same* cache keys: a cold
         # flat run fills the disk tier, a warm object run reads those
         # very entries -- and both emit the object-serial digests.
         cache_dir = str(tmp_path / "cache")
         clear_obs_cache()
-        cold = run_matrix("small", core="flat", cache=True,
-                          cache_dir=cache_dir, **SUBSET)
+        cold = run_matrix("small", cache=True, cache_dir=cache_dir,
+                          **SUBSET)
         assert cold.cells == object_cells
         assert os.listdir(cache_dir)  # the disk tier was really filled
         clear_obs_cache()
-        warm = run_matrix("small", core="object", cache=True,
-                          cache_dir=cache_dir, **SUBSET)
+        with object_core():
+            warm = run_matrix("small", cache=True, cache_dir=cache_dir,
+                              **SUBSET)
         assert warm.cells == object_cells
 
 
@@ -238,25 +237,27 @@ class TestFullTierParity:
     def golden(self):
         return load_digest_table(GOLDEN_PATH)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(core="object"),
-        dict(core="flat"),
-        dict(core="flat", workers=2),
+    @pytest.mark.parametrize("oracle, workers", [
+        (True, 1),
+        (False, 1),
+        (False, 2),
     ], ids=["object-serial", "flat-serial", "flat-workers2"])
-    def test_full_matrix_matches_golden(self, golden, kwargs):
+    def test_full_matrix_matches_golden(self, golden, object_core, oracle,
+                                        workers):
         clear_obs_cache()
-        result = run_matrix("small", **kwargs)
+        with object_core() if oracle else contextlib.nullcontext():
+            result = run_matrix("small", workers=workers)
         assert len(result.cells) == 36
         assert compare_digest_tables(result.digest_table(), golden) == []
 
     def test_full_matrix_cold_then_warm_across_cores(self, golden,
+                                                     object_core,
                                                      tmp_path):
         cache_dir = str(tmp_path / "cache")
         clear_obs_cache()
-        cold = run_matrix("small", core="flat", cache=True,
-                          cache_dir=cache_dir)
+        cold = run_matrix("small", cache=True, cache_dir=cache_dir)
         assert compare_digest_tables(cold.digest_table(), golden) == []
         clear_obs_cache()
-        warm = run_matrix("small", core="object", cache=True,
-                          cache_dir=cache_dir)
+        with object_core():
+            warm = run_matrix("small", cache=True, cache_dir=cache_dir)
         assert compare_digest_tables(warm.digest_table(), golden) == []

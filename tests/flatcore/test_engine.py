@@ -1,19 +1,13 @@
-"""Engine-mode dispatch and the auto-fallback policy."""
+"""Engine dispatch: ``flat_for`` memoizes the arena and never degrades."""
 
 import warnings
 
 import pytest
 
 from repro.errors import FlatCoreError
-from repro.flatcore import (
-    core_mode,
-    current_mode,
-    flat_for,
-    lower,
-    set_core_mode,
-)
-from repro.flatcore import engine
+from repro.flatcore import arena, flat_for
 from repro.netlist import Circuit
+from repro.sim.odc import observability
 
 
 @pytest.fixture
@@ -27,74 +21,54 @@ def tiny():
 
 
 class TestModeSelection:
-    def test_default_mode_is_auto(self):
-        assert current_mode() == "auto"
+    """The flat core is the engine; the object core is reachable only
+    through the oracle seam the differential tests use."""
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(FlatCoreError, match="unknown core mode"):
-            set_core_mode("turbo")
-        assert current_mode() == "auto"
-
-    def test_core_mode_restores_previous_even_on_error(self):
-        with pytest.raises(RuntimeError):
-            with core_mode("object"):
-                assert current_mode() == "object"
-                raise RuntimeError("boom")
-        assert current_mode() == "auto"
-
-    def test_object_mode_never_lowers(self, tiny):
-        with core_mode("object"):
-            assert flat_for(tiny) is None
+    def test_object_mode_never_lowers(self, tiny, object_core):
+        with object_core():
+            observability(tiny, n_frames=1, n_patterns=8)
         assert tiny._flat_cache is None
+        observability(tiny, n_frames=1, n_patterns=8)
+        assert tiny._flat_cache is not None
 
-    def test_flat_and_auto_lower_and_memoize(self, tiny):
-        with core_mode("flat"):
-            flat = flat_for(tiny)
+    def test_flat_and_auto_lower_and_memoize(self, tiny, monkeypatch):
+        lowerings = []
+        real_lower = arena.lower
+
+        def counting(circuit):
+            lowerings.append(circuit.name)
+            return real_lower(circuit)
+
+        monkeypatch.setattr(arena, "lower", counting)
+        flat = flat_for(tiny)
         assert flat is not None
-        with core_mode("auto"):
-            assert flat_for(tiny) is flat  # memoized on the circuit
+        assert flat_for(tiny) is flat  # memoized on the circuit
+        observability(tiny, n_frames=1, n_patterns=8)
+        assert tiny._flat_cache is flat  # the engine reuses the memo
+        assert lowerings == ["tiny"]
 
     def test_mutation_invalidates_the_memo(self, tiny):
-        with core_mode("auto"):
-            first = flat_for(tiny)
-            tiny.add_gate("h", "NOT", ["g"])
-            second = flat_for(tiny)
+        first = flat_for(tiny)
+        assert flat_for(tiny) is first  # memoized on the circuit
+        tiny.add_gate("h", "NOT", ["g"])
+        second = flat_for(tiny)
         assert second is not first
         assert second.n_gates == first.n_gates + 1
 
 
 class TestFallbackPolicy:
-    def test_auto_falls_back_with_one_warning(self, tiny, monkeypatch):
-        def broken(circuit):
-            raise FlatCoreError("synthetic lowering failure")
-
-        monkeypatch.setattr(engine, "lower", broken)
-        with core_mode("auto"):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                assert flat_for(tiny) is None
-            # the failure is cached: no second lowering, no second warn
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert flat_for(tiny) is None
+    """There is no fallback: a lowering failure surfaces as is."""
 
     def test_flat_mode_raises_instead_of_falling_back(self, tiny,
                                                       monkeypatch):
         def broken(circuit):
             raise FlatCoreError("synthetic lowering failure")
 
-        monkeypatch.setattr(engine, "lower", broken)
-        with core_mode("flat"):
+        monkeypatch.setattr(arena, "lower", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(FlatCoreError, match="synthetic"):
                 flat_for(tiny)
-
-    def test_failure_memo_cleared_by_mutation(self, tiny, monkeypatch):
-        def broken(circuit):
-            raise FlatCoreError("synthetic lowering failure")
-
-        monkeypatch.setattr(engine, "lower", broken)
-        with core_mode("auto"), pytest.warns(RuntimeWarning):
-            assert flat_for(tiny) is None
-        monkeypatch.setattr(engine, "lower", lower)
-        tiny.add_gate("h", "NOT", ["g"])  # invalidates _flat_failed
-        with core_mode("auto"):
-            assert flat_for(tiny) is not None
+            with pytest.raises(FlatCoreError, match="synthetic"):
+                observability(tiny, n_frames=1, n_patterns=8)
+        assert tiny._flat_cache is None

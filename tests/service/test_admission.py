@@ -68,6 +68,14 @@ class TestValidation:
         error = admit_error(controller, {"circuit": "s13207", "spice": 1})
         assert error.status == 400 and error.field == "spice"
 
+    def test_core_field_is_unknown(self, controller):
+        # The engine-selection field is gone: a client that still sends
+        # it gets the ordinary unknown-field 400, never a silent accept.
+        error = admit_error(controller, {"circuit": "s13207",
+                                         "core": "flat"})
+        assert error.status == 400 and error.field == "core"
+        assert "unknown field 'core'" in str(error)
+
     def test_exactly_one_source_required(self, controller):
         assert admit_error(controller, {}).status == 400
         both = {"circuit": "s13207", "netlist": TINY_BENCH}

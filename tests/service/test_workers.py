@@ -7,6 +7,7 @@ goes back to ``queued`` with no budget consumed, and a restarted pool
 finishes it with the exact same digest a clean run produces.
 """
 
+import json
 import threading
 import time
 
@@ -122,6 +123,34 @@ class TestDrainTimeout:
         finally:
             assert pool2.drain(10.0)
         final = queue.get(record.id)
+        assert final.state == "done"
+        reference = execute_job(TINY_SPEC, ExecutionDefaults())
+        assert final.result["digest"] == reference["digest"]
+
+
+class TestLegacySpecs:
+    def test_stored_core_key_is_ignored_on_recovery(self, tmp_path):
+        """A version-2 record whose stored spec still carries the
+        retired ``core`` engine knob recovers, runs, and produces the
+        digest of the same spec without it."""
+        queue = JobQueue(tmp_path, lease_seconds=60.0)
+        record = queue.submit({**TINY_SPEC, "core": "flat"})
+        queue.claim("w0")
+        queue.start(record.id)  # the service dies mid-run
+        stored = json.loads(
+            (tmp_path / "jobs" / f"{record.id}.json").read_text())
+        assert stored["version"] == 2 and stored["spec"]["core"] == "flat"
+
+        fresh = JobQueue(tmp_path, lease_seconds=60.0)
+        assert fresh.recover()["requeued"] == [record.id]
+        pool = WorkerPool(fresh, ExecutionDefaults(), pool_size=1,
+                          poll_interval=0.02)
+        pool.start()
+        try:
+            assert wait_for(lambda: fresh.get(record.id).terminal())
+        finally:
+            assert pool.drain(10.0)
+        final = fresh.get(record.id)
         assert final.state == "done"
         reference = execute_job(TINY_SPEC, ExecutionDefaults())
         assert final.result["digest"] == reference["digest"]
