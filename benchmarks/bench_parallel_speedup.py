@@ -26,8 +26,8 @@ from repro.runtime.manifest import RunManifest
 
 from .conftest import bench_frames, bench_patterns, bench_scale, once
 
-#: Eight mid-size rows of comparable cost: enough jobs for four shards,
-#: no single circuit dominating the longest shard.
+#: Eight mid-size rows of comparable cost: two circuits per worker at
+#: four workers, no single circuit dominating the wall time.
 _ROWS = ("s13207", "s15850.1", "b14_1_opt", "b14_opt", "b15_1_opt",
          "b15_opt", "b20_1_opt", "b21_1_opt")
 

@@ -34,8 +34,8 @@ Subcommands
     emit / check its per-cell golden digest table.
 
 ``table1``, ``chaos`` and ``matrix`` handle SIGTERM/SIGINT gracefully:
-the current checkpoint state is preserved (parallel runs salvage
-completed shard checkpoints first) and the process exits with
+every finished circuit is already checkpointed (parallel runs too: the
+parent saves each circuit as its result arrives) and the process exits with
 :data:`INTERRUPT_EXIT_CODE` so callers can distinguish "operator
 stopped it, resume later" from real failures.
 
@@ -662,9 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-guard", action="store_true",
                    help="skip the post-retime verification guard")
     p.add_argument("-w", "--workers", type=int, default=1,
-                   help="worker processes; >1 shards the suite across "
-                        "a process pool with a deterministic merge "
-                        "(same result checksum as a serial run)")
+                   help="worker processes; >1 runs one pool task per "
+                        "circuit with a deterministic merge (same result "
+                        "checksum as a serial run)")
     p.add_argument("-v", "--verbose", action="store_true")
     common(p)
     solver_opts(p)
@@ -726,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", type=int, default=256)
     p.add_argument("-w", "--workers", type=int, default=1,
                    help="worker processes for the suite under test "
-                        "(fault plans propagate with per-shard seeds)")
+                        "(fault plans propagate with per-circuit seeds)")
     p.add_argument("-v", "--verbose", action="store_true")
     cache_opts(p)
     trace_opts(p)
@@ -923,10 +923,9 @@ def _install_interrupt_handler() -> None:
     """Map SIGTERM onto :class:`KeyboardInterrupt` for suite commands.
 
     SIGINT already raises it; with SIGTERM converted too, both
-    interrupts unwind through the same ``finally`` blocks (the serial
-    suite's per-circuit checkpoint is already durable; the parallel
-    executor additionally salvages completed shard checkpoints on the
-    way out) and :func:`main` turns them into a clean
+    interrupts unwind through the same ``finally`` blocks (every
+    finished circuit's checkpoint is already durable, serial or
+    parallel) and :func:`main` turns them into a clean
     :data:`INTERRUPT_EXIT_CODE` exit.  Main-thread only -- under the
     parallel executor the workers are separate processes with their own
     default handlers, which is exactly what we want: the parent decides
@@ -972,7 +971,7 @@ def main(argv: list[str] | None = None) -> int:
         return INTERRUPT_EXIT_CODE
     except WorkerCrashError as exc:
         # A parallel worker died hard (e.g. an injected kill); every
-        # completed shard was salvaged into the manifest.  Exit with the
+        # finished circuit is already in the manifest.  Exit with the
         # kill code so the restart harness resumes instead of treating
         # the run as a deterministic failure.
         from .faultplane.plan import KILL_EXIT_CODE

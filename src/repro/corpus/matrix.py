@@ -6,7 +6,7 @@ preset) pair.  A scenario maps to one :func:`repro.runtime.suite.run_suite`
 invocation over the tier's circuits, so every cell inherits the
 production execution substrate for free: per-circuit crash isolation,
 retry/degradation ladders, manifest checkpointing with resume, the
-sharded parallel executor and the content-addressed analysis cache.
+parallel executor and the content-addressed analysis cache.
 
 The per-cell *digest* is the suite's time-masked determinism digest
 (:func:`repro.runtime.manifest.result_checksum`) scoped to one circuit

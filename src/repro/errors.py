@@ -133,9 +133,9 @@ class ManifestError(ExecutionError):
 class WorkerCrashError(ExecutionError):
     """A parallel suite worker process died abruptly.
 
-    Raised by :mod:`repro.runtime.parallel` after every completed shard
-    checkpoint has been absorbed into the main manifest, so a
-    ``--resume`` rerun loses at most the circuits that were in flight.
+    Raised by :mod:`repro.runtime.parallel`, naming the circuits that
+    were unfinished.  The parent checkpoints every circuit as its result
+    arrives, so a ``--resume`` rerun loses at most those circuits.
     The CLI maps it to the kill exit code
     (:data:`repro.faultplane.plan.KILL_EXIT_CODE`) so the chaos restart
     harness treats a killed worker like a killed process: restart and
@@ -221,6 +221,6 @@ class TelemetryError(ReproError):
 
     Instrumentation call sites never raise this -- a broken tracer must
     not take the pipeline down -- only the explicit telemetry APIs do:
-    registering a metric under a conflicting kind, merging an unreadable
+    registering a metric under a conflicting kind, absorbing an unreadable
     shard trace, or loading a malformed trace file in the viewer.
     """

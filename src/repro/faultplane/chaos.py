@@ -338,7 +338,7 @@ def run_chaos(config, plan: FaultPlan,
     cross-checked against the small-circuit brute-force oracle
     (``circuit_factory`` circuits must be oracle-scale).
     """
-    from ..runtime.suite import run_suite
+    from ..runtime.suite import default_circuit_factory, run_suite
 
     check_plan(plan)
     injector = FaultInjector(plan)
@@ -350,7 +350,7 @@ def run_chaos(config, plan: FaultPlan,
     card = ChaosScorecard(seed=plan.seed)
     card.tally_stats(injector.stats())
     for stats in suite.fault_stats:
-        # workers > 1: each shard worker ran its own derived injector.
+        # workers > 1: each circuit task ran its own derived injector.
         card.tally_stats(stats)
     card.tally_rows(suite.runs)
     card.tally_failures(suite.failures)
@@ -368,11 +368,7 @@ def run_chaos(config, plan: FaultPlan,
             card.wrong_details.extend(issues)
     if oracle:
         if circuit_factory is None:
-            from ..circuits.suites import table1_circuit
-
-            def circuit_factory(name, _config=config):
-                return table1_circuit(name, scale=_config.scale,
-                                      seed=_config.seed)
+            circuit_factory = default_circuit_factory(config)
         for run in suite.runs:
             if run.status.startswith("failed:"):
                 continue
@@ -572,11 +568,14 @@ def run_kill_chaos(config, plan: FaultPlan, workdir: str,
     the checkpoint protocol lied.
     """
     from ..runtime.manifest import RunManifest
-    from ..runtime.suite import CircuitRun, run_suite
+    from ..runtime.suite import (CircuitRun, default_circuit_factory,
+                                 run_suite)
 
     manifest_path = os.path.join(workdir, "chaos-manifest.json")
+    # The CLI needs a concrete --scale: resolve None to the suite default.
+    scale = default_circuit_factory(config).keywords["scale"]
     argv = table1_argv(list(config.circuits), manifest_path,
-                       scale=config.scale, seed=config.seed,
+                       scale=scale, seed=config.seed,
                        frames=config.n_frames, patterns=config.n_patterns,
                        workers=config.workers)
     harness = restart_until_complete(argv, plan, manifest_path, workdir,

@@ -69,11 +69,6 @@ KILL_EXIT_CODE = 86
 ENV_PLAN = "REPRO_FAULT_PLAN"
 ENV_STATS = "REPRO_FAULT_STATS"
 
-#: Seed stride between the fault plans derived for parallel suite
-#: workers (any odd prime far from :data:`repro.runtime.suite`'s reseed
-#: stride works; it only needs to decorrelate the firing streams).
-SHARD_SEED_STRIDE = 7919
-
 
 class InjectedTransientError(RuntimeError):
     """An injected stochastic/transient failure (retryable)."""
@@ -181,7 +176,9 @@ def derive_job_plan(plan: FaultPlan, job_name: str,
                     attempt: int) -> FaultPlan:
     """The plan a sandboxed worker subprocess runs under.
 
-    Every sandbox child starts with fresh injector state, so a plan
+    Also the plan of each parallel suite task, with the circuit name as
+    ``job_name`` and attempt 0.  Every sandbox child starts with fresh
+    injector state, so a plan
     installed verbatim from the environment would replay the *same*
     first probability draw in every child -- a probabilistic worker
     fault would then fire for either every job attempt or none,
@@ -195,21 +192,6 @@ def derive_job_plan(plan: FaultPlan, job_name: str,
 
     tag = zlib.crc32(f"{job_name}#{attempt}".encode("utf-8"))
     return FaultPlan(seed=plan.seed ^ tag, faults=list(plan.faults))
-
-
-def derive_shard_plan(plan: FaultPlan, shard_index: int) -> FaultPlan:
-    """The plan a parallel suite worker runs under: same fault specs,
-    shard-decorrelated seed.
-
-    Worker ``shard_index`` gets ``seed + SHARD_SEED_STRIDE * (index+1)``
-    -- never the parent's own seed, so a probabilistic fault cannot fire
-    in lockstep with the parent's injector, while the whole fault
-    sequence of every process stays a pure function of the base seed
-    and the shard index (chaos failures remain replayable).
-    """
-    return FaultPlan(
-        seed=plan.seed + SHARD_SEED_STRIDE * (shard_index + 1),
-        faults=list(plan.faults))
 
 
 @dataclass
@@ -337,7 +319,7 @@ class FaultInjector:
         # The message deliberately names only the fault, not the call
         # count or plan seed: it ends up in FailureRecords and hence in
         # manifests, where it must be identical however the visits were
-        # distributed (serial, sharded, resumed).  The injector-local
+        # distributed (serial, parallel, resumed).  The injector-local
         # provenance (call index, seed) lives in the event log.
         message = f"injected {spec.kind} fault at site {site!r}"
         if spec.kind == "transient":

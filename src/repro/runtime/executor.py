@@ -22,7 +22,7 @@ is the debugging mode of the ``--strict`` CLI flag.  Only
 always abort the run (that is what checkpoint/resume is for).
 
 The executor is deliberately process-local: it holds no global state
-beyond the failure list its caller passes in, so the sharded-parallel
+beyond the failure list its caller passes in, so the parallel
 suite (:mod:`repro.runtime.parallel`) runs one independent ladder per
 circuit inside each worker process -- per-stage deadlines, retries and
 degradations are enforced in-worker exactly as in a serial run, and the
@@ -67,7 +67,7 @@ def backoff_rng(seed: int, stage: str, circuit: str = "") -> random.Random:
     *not* ``hash()``, which string randomization makes nondeterministic
     across processes.  The same (seed, stage, circuit) triple therefore
     reproduces the exact same jitter sequence everywhere: serial runs,
-    shard workers, chaos replays.
+    parallel workers, chaos replays.
     """
     tag = zlib.crc32(f"{circuit}/{stage}".encode("utf-8"))
     return random.Random(seed ^ tag)

@@ -36,7 +36,7 @@ wall-clock field (record ``elapsed``, row ``ref_time``/``new_time``,
 report ``obs_runtime`` and per-algorithm ``runtime``, failure
 ``elapsed``) masked to zero.  All result-determining quantities are
 pure functions of the suite configuration, so two runs of the same
-config -- serial, sharded-parallel at any worker count, or resumed
+config -- serial, parallel at any worker count, or resumed
 after a crash -- produce the *same* ``result_checksum`` even though
 their timings (and hence their ``checksum``) differ.  The parallel
 executor (:mod:`repro.runtime.parallel`) leans on this: its
@@ -369,40 +369,18 @@ class RunManifest:
         """Planned circuits not yet completed, in order."""
         return [n for n in self.circuits if n not in self.completed]
 
-    def absorb(self, other: "RunManifest") -> list[str]:
-        """Merge another manifest's completed records into this one.
-
-        Used by the parallel executor to fold worker *shard* manifests
-        into the main run manifest: ``other`` must have been written by
-        the same experiment configuration (every fingerprint key except
-        ``circuits`` -- a shard's planned list is a subset by design).
-        Only records for circuits this manifest plans and has not yet
-        completed are taken; returns their names in this manifest's
-        canonical order.
-        """
-        self.check_config(other.config, ignore=("circuits",))
-        absorbed = [name for name in self.circuits
-                    if name not in self.completed
-                    and name in other.completed]
-        for name in absorbed:
-            self.completed[name] = other.completed[name]
-        return absorbed
-
-    def check_config(self, config: dict[str, Any],
-                     ignore: tuple[str, ...] = ()) -> None:
+    def check_config(self, config: dict[str, Any]) -> None:
         """Reject resumption under a different experiment configuration.
 
         Only keys present in *both* fingerprints are compared, so adding
         a new knob in a later version does not invalidate old manifests;
         resilience knobs (deadline, retries) are deliberately excluded
         from fingerprints by the caller -- they do not change results,
-        only how failures are handled.  ``ignore`` names fingerprint
-        keys exempt from the comparison (the shard-absorption path
-        ignores ``circuits``).
+        only how failures are handled.
         """
         mismatched = {key: (self.config[key], config[key])
                       for key in self.config.keys() & config.keys()
-                      if key not in ignore and self.config[key] != config[key]}
+                      if self.config[key] != config[key]}
         if mismatched:
             detail = "; ".join(
                 f"{key}: manifest={old!r}, requested={new!r}"

@@ -1,169 +1,79 @@
-"""Sharded parallel suite execution with a deterministic merge.
+"""Per-circuit parallel suite execution with a deterministic merge.
 
 :func:`run_parallel_suite` is the ``workers > 1`` back end of
-:func:`repro.runtime.suite.run_suite`.  It partitions the pending
-circuits into per-worker *shards* (longest-job-first by a cheap
-|V|*|E| size estimate from the published Table I statistics), runs each
-shard through the ordinary serial ``run_suite`` -- retry ladder,
-per-circuit deadlines, crash isolation and all -- inside a
-``ProcessPoolExecutor`` worker, and merges the results back into the
-main run manifest in canonical circuit order.
+:func:`repro.runtime.suite.run_suite`.  It submits one
+``ProcessPoolExecutor`` task per pending circuit, in canonical order, so
+each circuit goes to the first free worker.  Every task runs
+:func:`~repro.runtime.suite.run_circuit` -- the serial loop's own
+per-circuit step, with the retry ladder, per-circuit deadlines and
+crash isolation -- and returns the circuit's record as plain data.
 
 Determinism contract
 --------------------
 Every result-determining quantity of a suite run is a pure function of
 the :class:`~repro.runtime.suite.SuiteConfig`, computed independently
-per circuit; sharding only changes *where* each circuit is computed.
-The merge therefore reproduces the exact serial rows, records and
-failure lists, and the merged manifest's ``result_checksum`` (the
-time-masked digest, see :mod:`repro.runtime.manifest`) is identical to
-a ``workers=1`` run's.  Progress lines are not streamed as they happen:
-workers tag each line with its circuit and batch them into the shard's
-return payload, and the parent buffers them per circuit and emits them
-strictly in canonical circuit order, each circuit only after its record
-is durably merged -- so the observable progress log of a parallel run
-is a deterministic reordering of the serial one, never an interleaving.
-(No live progress channel exists on purpose: a queue broker would
-outlive a hard-killed parent and hold its stdio pipes open, hanging any
-supervisor that waits for the parent's output.)
+per circuit; the pool only changes *where* each circuit is computed.
+The parent therefore reproduces the exact serial rows, records and
+failure lists, and its manifest's ``result_checksum`` (the time-masked
+digest, see :mod:`repro.runtime.manifest`) is identical to a
+``workers=1`` run's.  Progress lines are written by the parent, in
+canonical circuit order, each only after the durable save it describes
+-- the progress log of a parallel run is the serial one, never an
+interleaving.
 
 Crash consistency
 -----------------
-Each worker checkpoints its shard to a sibling file of the main
-manifest (``<manifest>.shard-NN.json``) using the same atomic
-fsync+rename protocol.  The parent folds shards into the main manifest
-when a shard finishes, and *absorbs* any leftover shard files both at
-startup (a previous parent died) and when the process pool breaks (a
-worker died -- e.g. an injected ``kill`` fault), so a ``--resume`` rerun
-loses at most the circuits that were mid-flight.  A broken pool is
-reported as :class:`~repro.errors.WorkerCrashError` *after* the salvage,
-and the CLI maps it to the kill exit code so the chaos restart harness
-treats it like any other crash: restart, resume, converge.
+The parent's run manifest is the only checkpoint.  The parent records
+and saves each circuit as its result arrives, exactly as the serial
+loop does, so nothing needs salvaging when a worker dies (an injected
+``kill`` fault) or the operator interrupts the run: a ``--resume``
+rerun loses at most the circuits that were unfinished.  A broken pool
+is reported as :class:`~repro.errors.WorkerCrashError`, which the CLI
+maps to the kill exit code so the chaos restart harness treats it like
+any other crash: restart, resume, converge.
 
 Fault-plane composition
 -----------------------
 A fault plan installed in the parent (``REPRO_FAULT_PLAN`` or
-:func:`repro.faultplane.hooks.install`) propagates into every worker:
-the worker discards the injector state inherited across ``fork`` and
-installs a fresh injector running the same fault specs under a
-shard-derived seed (:func:`repro.faultplane.plan.derive_shard_plan`),
-so probabilistic faults decorrelate across shards while the whole fault
-sequence stays a pure function of (plan seed, shard index).  Worker
-injector stats return to the parent in
-:attr:`~repro.runtime.suite.SuiteResult.fault_stats` for the chaos
-scorecard.
+:func:`repro.faultplane.hooks.install`) keeps covering the parent's
+manifest saves and propagates into every task: the task discards the
+injector state inherited across ``fork`` and runs the same fault specs
+under :func:`~repro.faultplane.plan.derive_job_plan` ``(plan, circuit,
+0)`` -- the derivation the service sandbox uses -- so the fault
+sequence of each circuit is a pure function of (plan seed, circuit
+name), independent of the worker count.  Task injector stats return to
+the parent in :attr:`~repro.runtime.suite.SuiteResult.fault_stats` for
+the chaos scorecard.
+
+Tracing
+-------
+When the parent traces, each task traces to a per-circuit sibling of
+the parent's trace file (``<trace>.circuit-N.jsonl``, span ids prefixed
+``cN-`` by the circuit's canonical index N), and the parent folds those
+files into its own trace with :meth:`~repro.telemetry.Tracer.absorb`
+in canonical order.
 """
 
 from __future__ import annotations
 
-import glob
 import os
 import pickle
 import time
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from typing import Any
 
-from ..circuits.suites import TABLE1_ROWS
-from ..errors import ExecutionError, ManifestError, WorkerCrashError
+from ..errors import ExecutionError, WorkerCrashError
 from ..faultplane import hooks
-from ..faultplane.plan import FaultInjector, FaultPlan, derive_shard_plan
+from ..faultplane.plan import FaultInjector, FaultPlan, derive_job_plan
 from ..netlist.circuit import Circuit
 from ..telemetry import Tracer
 from ..telemetry import spans as telemetry
-from ..telemetry.spans import merge_shard_traces, shard_trace_path
-from .manifest import CircuitRecord, RunManifest
-from .suite import CircuitRun, SuiteConfig, SuiteResult
-
-#: |V| * |E| of each Table I row (paper statistics) -- the shard cost
-#: model.  The generator scales both counts linearly, so the product
-#: preserves the relative ordering at every scale.
-_COSTS: dict[str, int] = {row.name: row.vertices * row.edges
-                          for row in TABLE1_ROWS}
-
-
-def estimate_cost(name: str) -> int:
-    """Cheap relative cost estimate of one suite circuit.
-
-    ``|V| * |E|`` from the published Table I statistics; circuits not in
-    the catalog (custom ``circuit_factory`` runs) rank as cost 0, which
-    degrades the longest-job-first heuristic to balanced round-robin --
-    still deterministic, just less informed.
-    """
-    return _COSTS.get(name, 0)
-
-
-def partition_lpt(names: list[str], workers: int,
-                  cost: Callable[[str], int] = estimate_cost,
-                  ) -> list[list[str]]:
-    """Longest-processing-time-first partition into at most ``workers``
-    shards.
-
-    Circuits are placed one at a time, most expensive first (ties broken
-    by canonical position), each onto the currently lightest shard (ties
-    broken by lowest shard index) -- the classic LPT greedy, within 4/3
-    of the optimal makespan.  Within each shard the canonical order is
-    restored, and empty shards are dropped.  Fully deterministic.
-    """
-    k = min(workers, len(names))
-    if k <= 0:
-        return []
-    position = {name: index for index, name in enumerate(names)}
-    ranked = sorted(names, key=lambda n: (-cost(n), position[n]))
-    shards: list[list[str]] = [[] for _ in range(k)]
-    loads = [0] * k
-    for name in ranked:
-        lightest = min(range(k), key=lambda j: (loads[j], j))
-        shards[lightest].append(name)
-        loads[lightest] += max(cost(name), 1)
-    return [sorted(shard, key=position.__getitem__)
-            for shard in shards if shard]
-
-
-def shard_path(manifest_path: str, shard_index: int) -> str:
-    """Checkpoint file of one worker shard (sibling of the manifest)."""
-    return f"{manifest_path}.shard-{shard_index:02d}.json"
-
-
-def shard_paths(manifest_path: str) -> list[str]:
-    """Existing shard checkpoint files of a manifest, sorted."""
-    return sorted(glob.glob(glob.escape(manifest_path) + ".shard-*.json"))
-
-
-def absorb_shard_files(manifest: RunManifest, manifest_path: str,
-                       ) -> list[str]:
-    """Fold every on-disk shard checkpoint into the main manifest.
-
-    Loadable shards are absorbed (the main manifest is saved *before*
-    any shard file is deleted, so a crash mid-absorb never loses a
-    record); torn shards are deleted -- they hold only the in-flight
-    write a dying worker failed to complete, which the shard protocol
-    already guarantees is the sole possible loss.  Returns the absorbed
-    circuit names in canonical order.
-    """
-    absorbed: list[str] = []
-    loadable: list[str] = []
-    for path in shard_paths(manifest_path):
-        try:
-            shard = RunManifest.load(path)
-        except ManifestError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            continue
-        absorbed.extend(manifest.absorb(shard))
-        loadable.append(path)
-    if absorbed:
-        manifest.save(manifest_path)
-    for path in loadable:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    return absorbed
+from .manifest import CircuitRecord
+from .suite import (CircuitRun, SuiteConfig, SuiteResult, checkpoint,
+                    finished_line, open_manifest, resumed_line,
+                    run_circuit, suite_cache)
 
 
 def _parent_watchdog(parent_pid: int, poll_seconds: float = 1.0) -> None:
@@ -200,59 +110,35 @@ def _worker_init(parent_pid: int) -> None:
                      daemon=True).start()
 
 
-def _shard_worker(shard_index: int, names: tuple[str, ...],
-                  config: SuiteConfig, shard_manifest: str | None,
-                  circuit_factory: Callable[[str], Circuit] | None,
+def _circuit_task(name: str, config: SuiteConfig,
+                  circuit_factory: Callable[[str], Circuit],
                   plan_json: str | None, stats_path: str | None,
-                  ) -> dict[str, Any]:
-    """Run one shard in a worker process (module-level: must pickle).
+                  trace: tuple[str, str] | None,
+                  ) -> tuple[dict[str, Any], dict[str, Any] | None]:
+    """Run one circuit in a worker process (module-level: must pickle).
 
-    Discards any injector state inherited across ``fork`` and, when the
-    parent ran under a fault plan, installs a fresh injector on the
-    shard-derived seed.  Progress lines, completed records and injector
-    stats all travel back as plain data in the return value -- no live
-    channel to the parent.  A live queue would need a broker (a
-    ``multiprocessing.Manager`` server or a feeder thread) that outlives
-    a hard-killed parent and keeps its inherited stdio pipes open,
-    deadlocking any supervisor that waits for the parent's output; the
-    parent only surfaces lines after a shard's records are durably
-    merged anyway, so nothing is lost by batching them.
+    Installs the task's own fault injector and tracer in place of the
+    ones the worker inherited across ``fork`` (or from its previous
+    task).  Returns the circuit's record and the injector stats as
+    plain data -- no live channel to the parent, whose broker would
+    outlive a hard-killed parent and hold its stdio pipes open.
     """
-    from .suite import run_suite  # deferred: avoid import-time cycle
-
-    hooks.uninstall()  # forked copy of the parent's injector, if any
+    hooks.uninstall()
     injector = None
     if plan_json is not None:
-        plan = derive_shard_plan(FaultPlan.from_json(plan_json),
-                                 shard_index)
+        plan = derive_job_plan(FaultPlan.from_json(plan_json), name, 0)
         injector = FaultInjector(plan, stats_path=stats_path)
         hooks.install(injector)
-
-    # Per-shard span tracer: the forked copy of any parent tracer holds
-    # a shared file handle and must not be written through; each worker
-    # traces to its own <trace>.shard-NN.jsonl with an id prefix that
-    # keeps span ids globally unique, and the parent merges the shards
-    # after the pool drains.
     telemetry.uninstall()
     tracer = None
-    if config.trace_path is not None:
-        tracer = Tracer(shard_trace_path(config.trace_path, shard_index),
-                        prefix=f"s{shard_index:02d}-",
-                        meta={"kind": "shard", "shard": shard_index,
-                              "circuits": list(names)})
+    if trace is not None:
+        path, prefix = trace
+        tracer = Tracer(path, prefix=prefix,
+                        meta={"kind": "circuit", "circuit": name})
         telemetry.install(tracer)
-
-    lines: list[tuple[str, str]] = []
-
-    def push(circuit: str, line: str) -> None:
-        lines.append((circuit, line))
-
     try:
-        shard_config = replace(config, circuits=tuple(names), workers=1,
-                               trace_path=None)
-        result = run_suite(shard_config, manifest_path=shard_manifest,
-                           circuit_factory=circuit_factory, workers=1,
-                           progress_events=push)
+        with suite_cache(config):
+            run = run_circuit(name, config, circuit_factory)
     finally:
         if injector is not None:
             injector.flush_stats()
@@ -260,184 +146,112 @@ def _shard_worker(shard_index: int, names: tuple[str, ...],
         if tracer is not None:
             telemetry.uninstall()
             tracer.close()
-    return {
-        "shard": shard_index,
-        "records": [(run.name, run.to_record().to_dict())
-                    for run in result.runs],
-        "lines": lines,
-        "fault_stats": injector.stats() if injector is not None else None,
-    }
+    return (run.to_record().to_dict(),
+            injector.stats() if injector is not None else None)
 
 
-def run_parallel_suite(config: SuiteConfig,
-                       manifest_path: str | None = None,
-                       progress: Callable[[str], None] | None = None,
-                       progress_events: Callable[[str, str], None] | None
-                       = None,
-                       circuit_factory: Callable[[str], Circuit] | None
-                       = None,
-                       workers: int = 2) -> SuiteResult:
-    """Sharded-parallel :func:`repro.runtime.suite.run_suite`.
+def run_parallel_suite(config: SuiteConfig, manifest_path: str | None,
+                       note: Callable[[str, str], None],
+                       circuit_factory: Callable[[str], Circuit],
+                       workers: int) -> SuiteResult:
+    """Per-circuit parallel :func:`repro.runtime.suite.run_suite`.
 
     Same contract as the serial path -- resumable manifest, per-circuit
-    crash isolation, progress callbacks -- plus the determinism, crash
-    consistency and fault-plane guarantees documented in the module
-    docstring.  ``circuit_factory`` must be picklable (a module-level
-    function); a closure raises :class:`~repro.errors.ExecutionError`
-    up front rather than a cryptic pool failure mid-run.
+    crash isolation, progress lines -- plus the guarantees documented
+    in the module docstring.  ``circuit_factory`` must be picklable (a
+    module-level function); a closure raises
+    :class:`~repro.errors.ExecutionError` up front rather than a cryptic
+    pool failure mid-run.
     """
-    if circuit_factory is not None:
-        try:
-            pickle.dumps(circuit_factory)
-        except Exception as exc:
-            raise ExecutionError(
-                f"workers={workers} requires a picklable circuit_factory "
-                f"(a module-level function, not a lambda or closure); "
-                f"got {circuit_factory!r}: {exc}") from exc
+    try:
+        pickle.dumps(circuit_factory)
+    except Exception as exc:
+        raise ExecutionError(
+            f"workers={workers} requires a picklable circuit_factory "
+            f"(a module-level function, not a lambda or closure); "
+            f"got {circuit_factory!r}: {exc}") from exc
 
-    def note(circuit: str, message: str) -> None:
-        if progress is not None:
-            progress(message)
-        if progress_events is not None:
-            progress_events(circuit, message)
-
-    # ---- manifest: load-or-create, then salvage stale shard files ----
-    manifest: RunManifest | None = None
-    if manifest_path is not None:
-        if os.path.exists(manifest_path):
-            manifest = RunManifest.load(manifest_path)
-            manifest.check_config(config.fingerprint())
-        else:
-            manifest = RunManifest(config=config.fingerprint(),
-                                   circuits=list(config.circuits))
-            manifest.save(manifest_path)
-        absorb_shard_files(manifest, manifest_path)
-
+    manifest = open_manifest(config, manifest_path)
     records: dict[str, CircuitRecord] = \
         dict(manifest.completed) if manifest is not None else {}
     resumed = set(records)
-    for name in config.circuits:
-        if name in resumed:
-            note(name, f"{name}: resumed from manifest "
-                 f"({records[name].status})")
     pending = [name for name in config.circuits if name not in records]
 
-    stats_by_shard: dict[int, dict[str, Any]] = {}
-    if pending:
-        shards = partition_lpt(pending, workers)
+    injector = hooks.active()
+    plan_json = injector.plan.to_json() if injector is not None else None
+    stats_path = getattr(injector, "stats_path", None)
+    # Every circuit's trace file is folded in at the end, resumed ones
+    # too: a parent killed before its fold-in left theirs behind.
+    tracer = telemetry.active()
+    traces: dict[str, tuple[str, str]] = {}
+    if tracer is not None:
+        traces = {name: (f"{tracer.path}.circuit-{index}.jsonl",
+                         f"c{index}-")
+                  for index, name in enumerate(config.circuits)}
 
-        # Parent fault plan (if any) propagates with derived seeds.
-        parent_injector = hooks.active()
-        plan_json = parent_injector.plan.to_json() \
-            if parent_injector is not None else None
-        stats_path = getattr(parent_injector, "stats_path", None) \
-            if parent_injector is not None else None
+    #: Progress lines per circuit, written when the canonical frontier
+    #: reaches the circuit -- so only after its durable save.
+    lines = {name: [resumed_line(records[name])] if name in resumed else []
+             for name in config.circuits}
+    fault_stats: dict[str, dict[str, Any]] = {}
+    frontier = 0
 
-        #: Worker progress lines, buffered per circuit until the emit
-        #: frontier (canonical order over ``pending``) reaches them.
-        buffers: dict[str, list[str]] = {name: [] for name in pending}
-        closed: set[str] = set()
-        emit_index = 0
+    def drain() -> None:
+        nonlocal frontier
+        while frontier < len(config.circuits) and \
+                config.circuits[frontier] in records:
+            name = config.circuits[frontier]
+            for line in lines[name]:
+                note(name, line)
+            frontier += 1
 
-        executor = ProcessPoolExecutor(max_workers=len(shards),
-                                       initializer=_worker_init,
-                                       initargs=(os.getpid(),))
-        try:
-            futures = {}
-            for index, shard in enumerate(shards):
-                target = shard_path(manifest_path, index) \
-                    if manifest_path is not None else None
-                future = executor.submit(
-                    _shard_worker, index, tuple(shard), config, target,
-                    circuit_factory, plan_json, stats_path)
-                futures[future] = (index, shard)
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining,
-                                       return_when=FIRST_COMPLETED)
-                for future in sorted(done, key=lambda f: futures[f][0]):
-                    index, shard = futures[future]
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool as exc:
-                        salvaged: list[str] = []
-                        if manifest is not None:
-                            salvaged = absorb_shard_files(manifest,
-                                                          manifest_path)
-                        raise WorkerCrashError(
-                            f"suite worker died while running shard "
-                            f"{index} ({', '.join(shard)}); "
-                            f"{len(salvaged)} in-flight checkpointed "
-                            f"circuit(s) were salvaged into the "
-                            f"manifest -- rerun with --resume to "
-                            f"continue") from exc
-                    for name, data in payload["records"]:
-                        record = CircuitRecord.from_dict(name, data)
-                        records[name] = record
-                        closed.add(name)
-                        if manifest is not None:
-                            manifest.record(record)
-                    for circuit, line in payload["lines"]:
-                        buffers.setdefault(circuit, []).append(line)
-                    if payload["fault_stats"] is not None:
-                        stats_by_shard[index] = payload["fault_stats"]
-                    if manifest is not None:
-                        try:
-                            manifest.save(manifest_path)
-                        except OSError as exc:
-                            # Advisory, exactly like the serial path: a
-                            # full disk must not kill the run.
-                            if config.strict:
-                                raise
-                            note(shard[0],
-                                 f"warning: checkpoint save failed "
-                                 f"({exc}); continuing without "
-                                 f"checkpoint")
-                        else:
-                            target = shard_path(manifest_path, index)
-                            try:
-                                os.unlink(target)
-                            except OSError:
-                                pass
-                    # Emit buffered lines, canonical order only, and
-                    # only after the records are durably merged -- a
-                    # surfaced "computed" line is a kept promise.
-                    while emit_index < len(pending) and \
-                            pending[emit_index] in closed:
-                        name = pending[emit_index]
-                        for line in buffers.get(name, []):
-                            note(name, line)
-                        emit_index += 1
-        except KeyboardInterrupt:
-            # Operator interrupt (the CLI maps SIGTERM/SIGINT here):
-            # salvage every completed shard checkpoint into the main
-            # manifest before stopping, so a --resume rerun loses at
-            # most the circuits that were mid-flight.
-            if manifest is not None:
+    drain()
+    executor = ProcessPoolExecutor(
+        max_workers=min(workers, len(pending)) or 1,
+        initializer=_worker_init, initargs=(os.getpid(),))
+    try:
+        futures = {
+            executor.submit(_circuit_task, name, config, circuit_factory,
+                            plan_json, stats_path, traces.get(name)): name
+            for name in pending}
+        remaining = set(futures)
+        while remaining:
+            done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+            crashed = False
+            for future in sorted(done,
+                                 key=lambda f: pending.index(futures[f])):
+                name = futures[future]
                 try:
-                    absorb_shard_files(manifest, manifest_path)
-                except (OSError, ManifestError):
-                    pass  # best-effort: never mask the interrupt
-            raise
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+                    data, stats = future.result()
+                except BrokenProcessPool:
+                    crashed = True
+                    continue
+                record = CircuitRecord.from_dict(name, data)
+                records[name] = record
+                if stats is not None:
+                    fault_stats[name] = stats
+                checkpoint(manifest, manifest_path, record, config,
+                           lambda circuit, line: lines[circuit].append(line))
+                lines[name].append(finished_line(record))
+            drain()
+            if crashed:
+                unfinished = [name for name in pending
+                              if name not in records]
+                raise WorkerCrashError(
+                    f"a suite worker died with circuit(s) "
+                    f"{', '.join(unfinished)} unfinished; every finished "
+                    f"circuit is checkpointed -- rerun with --resume to "
+                    f"continue")
+    finally:
+        executor.shutdown(wait=False, cancel_futures=True)
+        for path, _ in traces.values():
+            tracer.absorb(path)
 
-    if config.trace_path is not None:
-        # All workers have returned (the success path drains the pool),
-        # so every shard trace is complete: fold them into the main
-        # trace in canonical shard order.  On a worker crash the raise
-        # above skips this, leaving the shard files on disk for
-        # post-mortem reading.
-        merge_shard_traces(config.trace_path)
-
-    runs: list[CircuitRun] = []
-    for name in config.circuits:
-        record = records.get(name)
-        if record is None:
-            continue  # unreachable on the success path
-        run = CircuitRun.from_record(record)
-        run.resumed = name in resumed
-        runs.append(run)
-    fault_stats = [stats_by_shard[index]
-                   for index in sorted(stats_by_shard)]
-    return SuiteResult(runs=runs, fault_stats=fault_stats)
+    runs = [CircuitRun.from_record(records[name])
+            for name in config.circuits]
+    for run in runs:
+        run.resumed = run.name in resumed
+    return SuiteResult(runs=runs,
+                       fault_stats=[fault_stats[name]
+                                    for name in pending
+                                    if name in fault_stats])

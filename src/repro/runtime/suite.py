@@ -27,11 +27,13 @@ byte-identical to freshly computed ones); the wall-clock ``t_ref`` /
 
 from __future__ import annotations
 
+import functools
+import os
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -275,7 +277,7 @@ class SuiteConfig:
     guard_cycles: int = 8
     guard_patterns: int = 32
     #: Worker processes for :func:`run_suite` (1 = in-process serial).
-    #: An execution knob like ``deadline``: the sharded-parallel path
+    #: An execution knob like ``deadline``: the parallel path
     #: produces a manifest with the same ``result_checksum`` as a serial
     #: run, so the worker count never enters the fingerprint.
     workers: int = 1
@@ -293,8 +295,8 @@ class SuiteConfig:
     #: JSONL file for the duration of the run.  An execution knob like
     #: ``workers`` and ``cache``: tracing never changes a result (the
     #: determinism tests prove checksum invariance), so it does not
-    #: enter the fingerprint.  Parallel workers trace to
-    #: ``<trace_path>.shard-NN.jsonl`` files which the parent merges.
+    #: enter the fingerprint.  Parallel workers trace to per-circuit
+    #: sibling files which the parent folds into this one.
     trace_path: str | None = None
 
     def fingerprint(self) -> dict[str, Any]:
@@ -686,53 +688,75 @@ def run_suite(config: SuiteConfig,
     progress:
         Optional callback receiving one human-readable line per circuit.
     circuit_factory:
-        Maps a circuit name to a :class:`Circuit`; defaults to the
-        Table I suite generator at ``config.scale`` / ``config.seed``.
-        A factory exception is handled like any other circuit failure.
+        Maps a circuit name to a :class:`Circuit`; defaults to
+        :func:`default_circuit_factory`.  A factory exception is handled
+        like any other circuit failure.
     workers:
         Worker-process count; overrides ``config.workers`` when given.
         Any value above 1 (with at least two circuits to run) delegates
-        to the sharded executor of :mod:`repro.runtime.parallel`, which
-        produces the same rows and a manifest with the same
+        to the per-circuit process pool of :mod:`repro.runtime.parallel`,
+        which produces the same rows and a manifest with the same
         ``result_checksum`` as the serial path.
     progress_events:
         Optional structured progress callback ``(circuit_name, line)``;
         receives the same lines as ``progress`` tagged with the circuit
-        they belong to (the parallel executor's ordered-drain feed).
+        they belong to.
     """
+    def note(circuit: str, message: str) -> None:
+        if progress is not None:
+            progress(message)
+        if progress_events is not None:
+            progress_events(circuit, message)
+
+    if circuit_factory is None:
+        circuit_factory = default_circuit_factory(config)
     n_workers = config.workers if workers is None else workers
-    if n_workers > 1 and len(config.circuits) > 1:
-        from .parallel import run_parallel_suite
-
-        return run_parallel_suite(config, manifest_path=manifest_path,
-                                  progress=progress,
-                                  progress_events=progress_events,
-                                  circuit_factory=circuit_factory,
-                                  workers=n_workers)
-
     with _maybe_tracing(config):
-        if config.cache or config.cache_dir is not None:
-            # Opt-in analysis cache for the duration of the run.  Each
-            # worker of a parallel run takes this branch inside its own
-            # process (the shard path re-enters run_suite with
-            # workers=1), so a shared cache_dir is the cross-process
-            # tier.
-            with analysis_cache.activated(
-                    analysis_cache.AnalysisCache(config.cache_dir)):
-                return _run_suite_serial(config, manifest_path, progress,
-                                         circuit_factory, progress_events)
-        return _run_suite_serial(config, manifest_path, progress,
-                                 circuit_factory, progress_events)
+        if n_workers > 1 and len(config.circuits) > 1:
+            from .parallel import run_parallel_suite
+
+            return run_parallel_suite(config, manifest_path, note,
+                                      circuit_factory, n_workers)
+        with suite_cache(config):
+            return _run_suite_serial(config, manifest_path, note,
+                                     circuit_factory)
+
+
+def default_circuit_factory(config: SuiteConfig,
+                            ) -> Callable[[str], Circuit]:
+    """The Table I generator at ``config.scale`` and ``config.seed``.
+
+    ``scale=None`` (the dataclass default) means the suite's
+    ``DEFAULT_SCALE``; the fingerprint keeps the configured value.  A
+    ``functools.partial`` of a module-level function, so it pickles
+    into parallel workers.
+    """
+    from ..circuits.suites import DEFAULT_SCALE, table1_circuit
+
+    scale = DEFAULT_SCALE if config.scale is None else config.scale
+    return functools.partial(table1_circuit, scale=scale, seed=config.seed)
+
+
+def suite_cache(config: SuiteConfig):
+    """The opt-in analysis cache for one run (or a no-op context).
+
+    A shared ``cache_dir`` is the cross-process tier: every parallel
+    worker opens its own view of it around each circuit.
+    """
+    if config.cache or config.cache_dir is not None:
+        return analysis_cache.activated(
+            analysis_cache.AnalysisCache(config.cache_dir))
+    return nullcontext()
 
 
 @contextmanager
 def _maybe_tracing(config: SuiteConfig):
     """Install a span tracer at ``config.trace_path`` for one run.
 
-    A no-op when tracing is off or a tracer is already installed -- a
-    parallel worker traces to its shard file (installed by
-    :mod:`repro.runtime.parallel` before it re-enters :func:`run_suite`),
-    and the inner call must not displace it.
+    A no-op when tracing is off or a tracer is already installed: a
+    nested run (the chaos harness, an outer traced command) reuses the
+    outer tracer.  Under the parallel executor the parent holds this
+    tracer and folds each worker's per-circuit trace into it.
     """
     if config.trace_path is None or telemetry.active() is not None:
         yield None
@@ -748,78 +772,93 @@ def _maybe_tracing(config: SuiteConfig):
         tracer.close()
 
 
-def _run_suite_serial(config: SuiteConfig,
-                      manifest_path: str | None,
-                      progress: Callable[[str], None] | None,
-                      circuit_factory: Callable[[str], Circuit] | None,
-                      progress_events: Callable[[str, str], None] | None,
+def open_manifest(config: SuiteConfig,
+                  manifest_path: str | None) -> RunManifest | None:
+    """Load the run manifest to resume from, or create it."""
+    if manifest_path is None:
+        return None
+    if os.path.exists(manifest_path):
+        manifest = RunManifest.load(manifest_path)
+        manifest.check_config(config.fingerprint())
+        return manifest
+    manifest = RunManifest(config=config.fingerprint(),
+                           circuits=list(config.circuits))
+    manifest.save(manifest_path)
+    return manifest
+
+
+def checkpoint(manifest: RunManifest | None, manifest_path: str | None,
+               record: CircuitRecord, config: SuiteConfig,
+               note: Callable[[str, str], None]) -> None:
+    """Record one finished circuit and durably save the manifest.
+
+    Checkpointing is advisory: a full disk must not kill the run.  The
+    manifest keeps every record in memory, so the next successful save
+    repairs the file.  ``strict`` runs raise instead.
+    """
+    if manifest is None:
+        return
+    manifest.record(record)
+    try:
+        manifest.save(manifest_path)
+    except OSError as exc:
+        if config.strict:
+            raise
+        note(record.name, f"warning: checkpoint save failed ({exc}); "
+             f"continuing without checkpoint")
+    else:
+        fault_point("suite.checkpoint", circuit=record.name)
+
+
+def run_circuit(name: str, config: SuiteConfig,
+                circuit_factory: Callable[[str], Circuit]) -> CircuitRun:
+    """Build and optimize one suite circuit, crash-isolated.
+
+    Any exception from the factory or the flow becomes a
+    ``failed:circuit`` row (``strict`` runs re-raise it).  The serial
+    loop and every parallel pool task run exactly this.
+    """
+    t0 = time.perf_counter()
+    try:
+        fault_point("suite.circuit.start", circuit=name)
+        return optimize_resilient(circuit_factory(name), config)
+    except Exception as exc:  # crash isolation around the whole flow
+        if config.strict:
+            raise
+        return CircuitRun(
+            name=name, row=_failed_row(name, "circuit", None),
+            report=None, status="failed:circuit",
+            elapsed=time.perf_counter() - t0,
+            failures=[FailureRecord(
+                circuit=name, stage="circuit", rung="",
+                error=type(exc).__name__, message=str(exc),
+                elapsed=time.perf_counter() - t0, attempt=0,
+                action="gave-up")])
+
+
+def resumed_line(record: CircuitRecord) -> str:
+    return f"{record.name}: resumed from manifest ({record.status})"
+
+
+def finished_line(record: CircuitRecord) -> str:
+    return f"{record.name}: {record.status} ({record.elapsed:.2f}s)"
+
+
+def _run_suite_serial(config: SuiteConfig, manifest_path: str | None,
+                      note: Callable[[str, str], None],
+                      circuit_factory: Callable[[str], Circuit],
                       ) -> SuiteResult:
-    if circuit_factory is None:
-        from ..circuits.suites import DEFAULT_SCALE, table1_circuit
-
-        # ``scale=None`` (the dataclass default) means the suite default;
-        # the fingerprint keeps the configured value.
-        scale = DEFAULT_SCALE if config.scale is None else config.scale
-
-        def circuit_factory(row_name: str) -> Circuit:
-            return table1_circuit(row_name, scale=scale, seed=config.seed)
-
-    manifest: RunManifest | None = None
-    if manifest_path is not None:
-        import os
-
-        if os.path.exists(manifest_path):
-            manifest = RunManifest.load(manifest_path)
-            manifest.check_config(config.fingerprint())
-        else:
-            manifest = RunManifest(config=config.fingerprint(),
-                                   circuits=list(config.circuits))
-            manifest.save(manifest_path)
-
-    def note(circuit: str, message: str) -> None:
-        if progress is not None:
-            progress(message)
-        if progress_events is not None:
-            progress_events(circuit, message)
-
+    manifest = open_manifest(config, manifest_path)
     runs: list[CircuitRun] = []
     for name in config.circuits:
         if manifest is not None and manifest.is_complete(name):
-            run = CircuitRun.from_record(manifest.completed[name])
-            runs.append(run)
-            note(name, f"{name}: resumed from manifest ({run.status})")
+            record = manifest.completed[name]
+            runs.append(CircuitRun.from_record(record))
+            note(name, resumed_line(record))
             continue
-        t0 = time.perf_counter()
-        try:
-            fault_point("suite.circuit.start", circuit=name)
-            circuit = circuit_factory(name)
-            run = optimize_resilient(circuit, config)
-        except Exception as exc:  # crash isolation around the whole flow
-            if config.strict:
-                raise
-            run = CircuitRun(
-                name=name, row=_failed_row(name, "circuit", None),
-                report=None, status="failed:circuit",
-                elapsed=time.perf_counter() - t0,
-                failures=[FailureRecord(
-                    circuit=name, stage="circuit", rung="",
-                    error=type(exc).__name__, message=str(exc),
-                    elapsed=time.perf_counter() - t0, attempt=0,
-                    action="gave-up")])
+        run = run_circuit(name, config, circuit_factory)
         runs.append(run)
-        if manifest is not None:
-            manifest.record(run.to_record())
-            try:
-                manifest.save(manifest_path)
-            except OSError as exc:
-                # Checkpointing is advisory: a full disk must not kill
-                # the run.  The manifest keeps every record in memory,
-                # so the next successful save repairs the file.
-                if config.strict:
-                    raise
-                note(name, f"warning: checkpoint save failed ({exc}); "
-                     f"continuing without checkpoint")
-            else:
-                fault_point("suite.checkpoint", circuit=name)
-        note(name, f"{name}: {run.status} ({run.elapsed:.2f}s)")
+        record = run.to_record()
+        checkpoint(manifest, manifest_path, record, config, note)
+        note(name, finished_line(record))
     return SuiteResult(runs=runs)

@@ -1,7 +1,7 @@
 """The unified telemetry plane: span tracing and a metrics registry.
 
 The four load-bearing runtime layers (resilient executor, fault plane,
-sharded parallel suite, analysis cache) used to report through ad-hoc
+parallel suite, analysis cache) used to report through ad-hoc
 channels -- stage clocks in ``report.perf``, cache ``stats.delta``
 counters, chaos scorecards, batched worker progress lines.  This package
 is the single substrate they all feed:
@@ -34,13 +34,11 @@ from .metrics import (REGISTRY, Counter, Gauge, Histogram,
                       MetricsRegistry, histogram_quantile)
 from .spans import (TRACE_FORMAT, TRACE_VERSION, Tracer, active,
                     add_attrs, current_span_id, event, install, installed,
-                    merge_shard_traces, new_trace_id, shard_trace_path,
-                    shard_trace_paths, span, uninstall)
+                    new_trace_id, span, uninstall)
 
 __all__ = [
     "REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "TRACE_FORMAT", "TRACE_VERSION", "Tracer", "active", "add_attrs",
     "current_span_id", "event", "histogram_quantile", "install",
-    "installed", "merge_shard_traces", "new_trace_id",
-    "shard_trace_path", "shard_trace_paths", "span", "uninstall",
+    "installed", "new_trace_id", "span", "uninstall",
 ]

@@ -26,7 +26,7 @@ groups every span of one service job across threads, processes and
 retries; readers treat records without it as belonging to the implicit
 single trace of a CLI run.  Every record is written with a
 single buffered ``write`` followed by a flush (one writer per file by
-construction -- parallel workers get their own shard file), and the file
+construction -- parallel workers get their own per-circuit file), and the file
 is ``fsync``\\ ed on :meth:`Tracer.close`, so a crash loses at most the
 spans still open.
 
@@ -37,12 +37,11 @@ manager and :func:`event` returns immediately -- the instrumented
 pipeline stays bit-identical and within the <2 % overhead budget of
 ``benchmarks/bench_runtime_overhead.py``.
 
-Parallel runs: each suite worker traces to
-``<trace>.shard-NN.jsonl`` (:func:`shard_trace_path`) with span-id
-prefix ``sNN-`` so ids stay globally unique, and the parent folds the
-shards into the main trace with :func:`merge_shard_traces` in canonical
-shard order -- records are copied verbatim, so parent/child ids are
-preserved exactly.
+Parallel runs: each suite task traces to a per-circuit sibling file
+with a span-id prefix that keeps ids globally unique, and the parent
+folds the files into its own trace with :meth:`Tracer.absorb` in
+canonical circuit order -- records are copied verbatim, so parent/child
+ids are preserved exactly.
 """
 
 from __future__ import annotations
@@ -92,8 +91,8 @@ class Tracer:
         every open; readers treat the file as a record stream and accept
         multiple headers).
     prefix:
-        Prepended to every span/event id -- parallel shard tracers use
-        ``"sNN-"`` so merged ids never collide.
+        Prepended to every span/event id -- per-circuit and sandbox
+        tracers use one so absorbed ids never collide.
     meta:
         Free-form JSON-serializable run description for the header.
 
@@ -273,11 +272,10 @@ class Tracer:
     def absorb(self, shard_path: str, delete: bool = True) -> int:
         """Fold a finished shard trace into this still-open trace.
 
-        Unlike :func:`merge_shard_traces` -- which opens its own append
-        handle and must not race a live writer -- ``absorb`` re-emits the
-        shard's span/event lines verbatim through this tracer's own
-        locked handle, so the service can merge a sandbox subprocess's
-        shard while its tracer keeps writing.  Shard header records are
+        Re-emits the shard's span/event lines verbatim through this
+        tracer's own locked handle, so the service can merge a sandbox
+        subprocess's shard, and a parallel suite a task's per-circuit
+        trace, while this tracer keeps writing.  Shard header records are
         dropped and torn lines skipped (a killed child loses only spans
         still open at death).  A missing shard is a no-op (the child
         died before tracing started).  Returns the record count.
@@ -401,73 +399,3 @@ def add_attrs(**attrs: Any) -> None:
     """Merge attributes into the current span of the installed tracer."""
     if _TRACER is not None:
         _TRACER.add_attrs(**attrs)
-
-
-# ----------------------------------------------------------------------
-# Shard traces (parallel suite workers)
-# ----------------------------------------------------------------------
-
-
-def shard_trace_path(trace_path: str, shard_index: int) -> str:
-    """Trace file of one worker shard (sibling of the main trace)."""
-    return f"{trace_path}.shard-{shard_index:02d}.jsonl"
-
-
-def shard_trace_paths(trace_path: str) -> list[str]:
-    """Existing shard trace files of a main trace path, sorted."""
-    import glob
-
-    return sorted(glob.glob(glob.escape(trace_path) + ".shard-*.jsonl"))
-
-
-def merge_shard_traces(trace_path: str,
-                       shard_files: list[str] | None = None) -> list[str]:
-    """Fold worker shard traces into the main trace file.
-
-    Shard records are appended verbatim in shard order (canonical:
-    sorted file names), so span/event ids -- already unique via the
-    per-shard ``sNN-`` prefix -- and parent/child relations survive the
-    merge exactly.  Shard *header* records are dropped (the main file
-    has its own); unparseable lines are skipped (a shard torn by a
-    worker crash loses only its last, partial line).  Merged shard
-    files are deleted.  Returns the merged file paths.
-    """
-    if shard_files is None:
-        shard_files = shard_trace_paths(trace_path)
-    if not shard_files:
-        return []
-    exists = os.path.exists(trace_path) and os.path.getsize(trace_path) > 0
-    with open(trace_path, "a", encoding="utf-8") as out:
-        if not exists:
-            header = {"type": "trace", "format": TRACE_FORMAT,
-                      "version": TRACE_VERSION, "clock": "perf_counter",
-                      "prefix": "", "wall_time": time.time(),
-                      "meta": {"merged": True}}
-            out.write(json.dumps(header, sort_keys=True,
-                                 separators=(",", ":")) + "\n")
-        for path in sorted(shard_files):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            record = json.loads(line)
-                        except json.JSONDecodeError:
-                            continue  # torn tail of a crashed worker
-                        if not isinstance(record, dict) or \
-                                record.get("type") == "trace":
-                            continue
-                        out.write(line + "\n")
-            except OSError as exc:
-                raise TelemetryError(
-                    f"cannot merge shard trace {path!r}: {exc}") from exc
-        out.flush()
-        os.fsync(out.fileno())
-    for path in shard_files:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    return list(shard_files)

@@ -64,8 +64,8 @@ class Trace:
 def load_trace(path: str | os.PathLike[str]) -> Trace:
     """Parse a trace JSONL file, leniently.
 
-    Accepts multiple header records (append-mode reopens and shard
-    merges produce them).  Malformed lines and unknown record types are
+    Accepts multiple header records (append-mode reopens produce
+    them).  Malformed lines and unknown record types are
     *skipped and counted* (``Trace.skipped``) wherever they appear: a
     service killed mid-write and restarted appends after the tear, so a
     torn line can sit anywhere in the file, and future record types

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.circuits.suites import DEFAULT_SCALE
+from repro.faultplane import chaos
 from repro.faultplane.chaos import (ChaosScorecard, build_plan,
                                     format_scorecard, labels_from_status,
                                     mask_report_times, run_chaos,
@@ -18,6 +20,7 @@ from repro.faultplane.chaos import (ChaosScorecard, build_plan,
 from repro.faultplane.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import FailureRecord
 from repro.runtime.manifest import RunManifest
+from repro.runtime.suite import SuiteConfig
 
 from .conftest import micro_factory, tiny_factory
 
@@ -166,6 +169,32 @@ class TestRunChaosSmoke:
         assert card.retried >= 1
         assert card.wrong_answers == 0
         assert all(run.status == "ok" for run in suite.runs)
+
+    def test_oracle_with_default_scale(self):
+        # scale=None means the suite default, for the oracle's circuits
+        # as much as for the suite run's.
+        suite, card = run_chaos(
+            SuiteConfig(circuits=("s13207",), n_frames=2, n_patterns=32),
+            build_plan(seed=0, sites=["sim.observability"],
+                       kinds=["transient"]),
+            verify=False, oracle=True)
+        assert [run.name for run in suite.runs] == ["s13207"]
+        assert card.wrong_answers == 0
+
+    def test_kill_chaos_passes_resolved_scale(self, monkeypatch,
+                                              tmp_path):
+        seen = {}
+
+        def capture(argv, *args, **kwargs):
+            seen["argv"] = argv
+            raise RuntimeError("stop before spawning")
+
+        monkeypatch.setattr(chaos, "restart_until_complete", capture)
+        with pytest.raises(RuntimeError, match="stop before"):
+            chaos.run_kill_chaos(SuiteConfig(circuits=("s13207",)),
+                                 build_plan(seed=0), str(tmp_path))
+        argv = seen["argv"]
+        assert argv[argv.index("--scale") + 1] == repr(DEFAULT_SCALE)
 
 
 @heavy

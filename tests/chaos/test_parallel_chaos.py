@@ -1,11 +1,12 @@
-"""Kill-loop chaos for the sharded parallel executor.
+"""Kill-loop chaos for the per-circuit parallel executor.
 
 Same contract as the serial crash-consistency suite, with workers=2:
-kill the ``table1 --workers 2`` CLI through injected faults (worker
-processes die mid-shard), restart with ``--resume``, and prove the
-shard-checkpoint salvage protocol never tears the manifest, never
-double-runs a circuit, and converges to the same ``result_checksum`` as
-an uninterrupted serial run.
+kill the ``table1 --workers 2`` CLI through injected faults (the parent
+dies right after a checkpoint while pool workers are mid-circuit),
+restart with ``--resume``, and prove that the parent's per-circuit
+checkpoints never tear the manifest, never double-run a circuit, and
+converge to the same ``result_checksum`` as an uninterrupted serial
+run.
 
 All tests spawn child interpreters and are gated behind
 ``REPRO_CHAOS=1``.
@@ -45,8 +46,8 @@ def serial_reference_digest(tmp_path):
 class TestParallelKillLoop:
     def test_worker_kills_salvage_and_converge_to_serial_digest(
             self, tmp_path):
-        # every shard checkpoint kills its worker: each attempt makes
-        # durable progress through the salvage path, then dies.
+        # every checkpoint kills the parent: each attempt makes durable
+        # progress of one circuit, then dies with workers in flight.
         plan = FaultPlan(seed=0, faults=[
             FaultSpec(site="suite.checkpoint", kind="kill",
                       trigger=1, arms=-1)])
@@ -82,7 +83,8 @@ class TestParallelKillLoop:
         result = restart_until_complete(argv, plan, manifest, workdir,
                                         max_restarts=15)
         assert result.attempts[-1].exit_code == 0
-        # completed run leaves exactly the manifest, no shard residue
+        # completed run leaves no shard-style residue next to the
+        # manifest
         leftovers = [n for n in os.listdir(workdir)
                      if ".shard-" in n]
         assert leftovers == []

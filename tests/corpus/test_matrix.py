@@ -29,7 +29,6 @@ from repro.faultplane import hooks
 from repro.faultplane.chaos import build_plan, restart_until_complete
 from repro.faultplane.plan import FaultInjector, FaultPlan, FaultSpec
 from repro.runtime.manifest import RunManifest
-from repro.runtime.parallel import shard_path, shard_paths
 
 heavy = pytest.mark.skipif(not os.environ.get("REPRO_CHAOS"),
                            reason="set REPRO_CHAOS=1 to run the "
@@ -103,35 +102,31 @@ class TestFaultParity:
 
 
 class TestResume:
-    def test_killed_run_resumes_via_shard_checkpoints(self, clean,
-                                                      tmp_path):
+    def test_missing_record_resumes_under_two_workers(self, clean,
+                                                       tmp_path):
         out_dir = str(tmp_path / "matrix")
         first = run_matrix("small", out_dir=out_dir, **SUBSET)
         assert first.cells == clean.cells
         manifest_path = scenario_manifest_path(out_dir, "small",
                                                "shallow-both")
 
-        # Simulate a kill mid-absorb: one record never made it from its
-        # worker shard into the main manifest.  The shard protocol
-        # guarantees exactly this on-disk state is the worst case.
+        # A kill between two checkpoints leaves a manifest missing the
+        # records that were still unfinished -- here, exactly one.
         manifest = RunManifest.load(manifest_path)
-        orphan = manifest.completed.pop("mesh_a")
+        del manifest.completed["mesh_a"]
         manifest.save(manifest_path)
-        shard = RunManifest(manifest.config, ["mesh_a"])
-        shard.completed["mesh_a"] = orphan
-        shard.save(shard_path(manifest_path, 0))
 
         resumed = run_matrix("small", out_dir=out_dir, workers=2,
                              **SUBSET)
         # no duplicate, no missing: both cells, each exactly once, and
-        # nothing was recomputed -- the orphan came back from the shard
+        # only the missing one was computed
         assert sorted(resumed.cells) == sorted(clean.cells)
         assert resumed.cells == clean.cells
         suite = resumed.suites["shallow-both"]
-        assert sorted(run.name for run in suite.runs) == \
-            ["cslow_a", "mesh_a"]
-        assert all(run.resumed for run in suite.runs)
-        assert shard_paths(manifest_path) == []  # shard was absorbed
+        by_name = {run.name: run for run in suite.runs}
+        assert sorted(by_name) == ["cslow_a", "mesh_a"]
+        assert by_name["cslow_a"].resumed
+        assert not by_name["mesh_a"].resumed
 
     def test_cells_recoverable_from_checkpoint_manifest(self, clean,
                                                         tmp_path):

@@ -1,9 +1,10 @@
 """Graceful SIGTERM/SIGINT handling of checkpointed CLI runs.
 
-A real subprocess is interrupted mid-suite: the exit code must be the
-sysexits ``EX_TEMPFAIL`` convention (75, not a stack trace), the
-checkpoint manifest must stay loadable, and ``--resume`` must finish
-the remaining rows without redoing the completed ones.
+A real subprocess is interrupted mid-suite, serial and with two pool
+workers: the exit code must be the sysexits ``EX_TEMPFAIL`` convention
+(75, not a stack trace), the checkpoint manifest must stay loadable, and
+``--resume`` must finish the remaining rows without redoing the
+completed ones.
 """
 
 import json
@@ -20,10 +21,11 @@ from repro.runtime.manifest import RunManifest
 CIRCUITS = ["s13207", "s15850.1", "s35932", "s38417"]
 
 
-def table1_argv(manifest_path):
+def table1_argv(manifest_path, workers):
     return [sys.executable, "-m", "repro.cli", "table1", *CIRCUITS,
             "--scale", "0.004", "--frames", "2", "--patterns", "64",
-            "--seed", "0", "--resume", str(manifest_path)]
+            "--seed", "0", "--resume", str(manifest_path),
+            "--workers", str(workers)]
 
 
 def completed_rows(manifest_path):
@@ -34,11 +36,19 @@ def completed_rows(manifest_path):
     return len(payload.get("completed", {}))
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def case(signum, workers):
+    """A (signal, workers) case; serial cases keep the bare signal id."""
+    suffix = "" if workers == 1 else f"-workers{workers}"
+    return pytest.param(signum, workers, id=f"{int(signum)}{suffix}")
+
+
+@pytest.mark.parametrize(("signum", "workers"), [
+    case(signal.SIGTERM, 1), case(signal.SIGINT, 1),
+    case(signal.SIGTERM, 2), case(signal.SIGINT, 2)])
 def test_interrupt_preserves_checkpoint_and_resume_finishes(
-        tmp_path, signum):
+        tmp_path, signum, workers):
     manifest_path = tmp_path / "manifest.json"
-    proc = subprocess.Popen(table1_argv(manifest_path),
+    proc = subprocess.Popen(table1_argv(manifest_path, workers),
                             stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE)
     try:
@@ -69,7 +79,7 @@ def test_interrupt_preserves_checkpoint_and_resume_finishes(
     assert salvaged  # at least the row we waited for
 
     # Resume completes the remaining rows and exits cleanly.
-    resumed = subprocess.run(table1_argv(manifest_path),
+    resumed = subprocess.run(table1_argv(manifest_path, workers),
                              capture_output=True, timeout=600.0)
     assert resumed.returncode == 0, resumed.stderr.decode()
     final = RunManifest.load(manifest_path)

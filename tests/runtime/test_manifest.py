@@ -227,43 +227,6 @@ class TestResultChecksum:
         RunManifest.load(path)
 
 
-class TestAbsorb:
-    def shard(self, names, completed, config=None):
-        manifest = RunManifest(config=config or {"seed": 0},
-                               circuits=list(names))
-        for name in completed:
-            manifest.record(CircuitRecord(name=name, row={"circuit": name},
-                                          report=None))
-        return manifest
-
-    def test_absorbs_planned_pending_in_canonical_order(self):
-        main = self.shard(["a", "b", "c", "d"], [])
-        taken = main.absorb(self.shard(["d", "b"], ["d", "b"]))
-        assert taken == ["b", "d"]  # main order, not shard order
-        assert main.pending() == ["a", "c"]
-
-    def test_skips_completed_and_unplanned(self):
-        main = self.shard(["a", "b"], ["a"])
-        donor = self.shard(["a", "b", "zz"], ["a", "b", "zz"])
-        original = main.completed["a"]
-        assert main.absorb(donor) == ["b"]
-        assert main.completed["a"] is original  # not overwritten
-        assert "zz" not in main.completed
-
-    def test_shard_circuit_subset_ignored_in_config_check(self):
-        main = self.shard(["a", "b"], [])
-        main.config["circuits"] = ["a", "b"]
-        donor = self.shard(["b"], ["b"])
-        donor.config["circuits"] = ["b"]
-        assert main.absorb(donor) == ["b"]
-
-    def test_experiment_mismatch_still_rejected(self):
-        main = self.shard(["a", "b"], [])
-        donor = self.shard(["b"], ["b"], config={"seed": 7})
-        with pytest.raises(ManifestError, match="refusing to resume"):
-            main.absorb(donor)
-
-
 class TestConfigCheck:
     def test_matching_config_accepted(self):
         manifest = RunManifest(config={"seed": 0, "scale": 0.02},

@@ -1,4 +1,4 @@
-"""Tests for the sharded parallel suite executor.
+"""Tests for the per-circuit parallel suite executor.
 
 The determinism claims are stated as ``result_checksum`` equality: the
 manifest digest over the time-masked payload (see
@@ -19,11 +19,8 @@ import pytest
 from repro.circuits import random_sequential_circuit
 from repro.errors import ExecutionError, WorkerCrashError
 from repro.faultplane import hooks
-from repro.faultplane.plan import (FaultInjector, FaultPlan, FaultSpec,
-                                   derive_shard_plan)
-from repro.runtime.manifest import CircuitRecord, RunManifest
-from repro.runtime.parallel import (absorb_shard_files, estimate_cost,
-                                    partition_lpt, shard_path)
+from repro.faultplane.plan import FaultInjector, FaultPlan, FaultSpec
+from repro.runtime.manifest import RunManifest
 from repro.runtime.suite import SuiteConfig, run_suite
 
 NAMES = ("ant", "bee", "cat", "dog", "elk", "fox")
@@ -48,36 +45,6 @@ def killer_factory(name):
 
 def digest_of(path):
     return RunManifest.load(path).result_digest()
-
-
-class TestPartitionLPT:
-    def test_deterministic_and_canonical_within_shards(self):
-        names = ["s13207", "b19", "b18_opt", "s15850.1", "b14_opt"]
-        shards = partition_lpt(names, 2)
-        assert shards == partition_lpt(names, 2)
-        position = {n: i for i, n in enumerate(names)}
-        for shard in shards:
-            assert shard == sorted(shard, key=position.__getitem__)
-        assert sorted(n for s in shards for n in s) == sorted(names)
-
-    def test_longest_job_isolated(self):
-        # b19 dwarfs the rest: everything else lands on the other shard
-        shards = partition_lpt(["s13207", "b19", "s15850.1", "b14_opt"], 2)
-        assert ["b19"] in shards
-
-    def test_more_workers_than_circuits(self):
-        shards = partition_lpt(["s13207", "b19"], 8)
-        assert len(shards) == 2
-        assert all(len(s) == 1 for s in shards)
-
-    def test_unknown_names_balance_round_robin(self):
-        shards = partition_lpt(list(NAMES), 3)
-        assert len(shards) == 3
-        assert {len(s) for s in shards} == {2}
-
-    def test_estimate_cost_tracks_table1_size(self):
-        assert estimate_cost("b19") > estimate_cost("s13207") > 0
-        assert estimate_cost("not-a-row") == 0
 
 
 class TestDeterministicMerge:
@@ -169,18 +136,32 @@ class TestFaultPlanPropagation:
             result = run_suite(CFG, manifest_path=parallel,
                                circuit_factory=grid_factory, workers=3)
         assert digest_of(serial) == digest_of(parallel)
-        # the plan actually fired everywhere, in every worker
+        # the plan actually fired everywhere, in every circuit's task
         assert all(run.status == "minobswin=minobs"
                    for run in result.runs)
-        assert len(result.fault_stats) == 3
+        assert len(result.fault_stats) == len(NAMES)  # one per circuit
         assert all(stats["injected"] > 0 for stats in result.fault_stats)
 
-    def test_derived_seeds_decorrelate_shards(self):
-        base = FaultPlan(seed=5, faults=list(self.PLAN.faults))
-        derived = [derive_shard_plan(base, index) for index in range(3)]
-        seeds = {plan.seed for plan in derived}
-        assert len(seeds) == 3 and base.seed not in seeds
-        assert all(plan.faults == base.faults for plan in derived)
+    def test_fault_sequence_independent_of_worker_count(self, tmp_path):
+        # Each circuit's task draws from derive_job_plan(plan, name, 0),
+        # so which worker runs which circuit cannot change what fires.
+        plan = FaultPlan(seed=11, faults=[
+            FaultSpec(site="solve.*", kind="transient", trigger=1,
+                      arms=-1, probability=0.5)])
+        cfg = SuiteConfig(**{**CFG.__dict__, "max_retries": 0})
+        results, digests = [], []
+        for workers in (2, 3):
+            path = tmp_path / f"w{workers}.json"
+            with hooks.installed(FaultInjector(plan)):
+                results.append(run_suite(cfg, manifest_path=path,
+                                         circuit_factory=grid_factory,
+                                         workers=workers))
+            digests.append(digest_of(path))
+        assert digests[0] == digests[1]
+        statuses = [[run.status for run in result.runs]
+                    for result in results]
+        assert statuses[0] == statuses[1]
+        assert len(set(statuses[0])) > 1  # the plan really varied them
 
 
 class TestWorkerCrash:
@@ -202,9 +183,11 @@ class TestWorkerCrash:
         assert resumed == set(salvaged.completed)
 
     def test_kill_fault_in_worker_maps_to_crash_error(self, tmp_path):
+        # Each task runs a fresh injector, so trigger=1: the first
+        # visit in every task kills that worker.
         plan = FaultPlan(seed=0, faults=[
             FaultSpec(site="suite.circuit.start", kind="kill",
-                      trigger=2, arms=1)])
+                      trigger=1, arms=1)])
         with hooks.installed(FaultInjector(plan)) as injector:
             with pytest.raises(WorkerCrashError):
                 run_suite(CFG, manifest_path=tmp_path / "p.json",
@@ -266,34 +249,3 @@ class TestOrphanReaping:
                 f"orphaned workers survived the parent: "
                 f"{workers_alive()}")
             time.sleep(0.2)
-
-
-class TestShardAbsorption:
-    def make_manifest(self, config, circuits, completed):
-        manifest = RunManifest(config=config, circuits=circuits)
-        for name in completed:
-            manifest.record(CircuitRecord(name=name,
-                                          row={"circuit": name},
-                                          report=None))
-        return manifest
-
-    def test_absorbs_and_deletes_shard_files(self, tmp_path):
-        main_path = str(tmp_path / "m.json")
-        main = self.make_manifest({"seed": 0}, ["a", "b", "c"], [])
-        main.save(main_path)
-        shard = self.make_manifest({"seed": 0, "circuits": ["b"]},
-                                   ["b"], ["b"])
-        shard.save(shard_path(main_path, 0))
-        assert absorb_shard_files(main, main_path) == ["b"]
-        assert not os.path.exists(shard_path(main_path, 0))
-        assert RunManifest.load(main_path).is_complete("b")
-
-    def test_torn_shard_deleted_not_fatal(self, tmp_path):
-        main_path = str(tmp_path / "m.json")
-        main = self.make_manifest({"seed": 0}, ["a"], [])
-        main.save(main_path)
-        torn = shard_path(main_path, 1)
-        with open(torn, "w", encoding="utf-8") as handle:
-            handle.write('{"format": "repro-run-manifest", "vers')
-        assert absorb_shard_files(main, main_path) == []
-        assert not os.path.exists(torn)

@@ -1,11 +1,11 @@
 """Suite-level telemetry: determinism, coverage and failure-path perf.
 
 Tracing is an *execution* knob: a suite run with ``trace_path`` set (or
-under ``workers=2`` shard tracing) must land on the same
+under ``workers=2`` per-circuit tracing) must land on the same
 ``result_checksum`` as a plain run.  The trace itself must cover every
 pipeline stage of every circuit and carry at least one MinObsWin
 iteration span per solved circuit, and the merged parallel trace must
-preserve span parentage across shard files.
+preserve span parentage within each circuit's folded-in file.
 """
 
 import dataclasses
@@ -113,15 +113,18 @@ class TestTraceCoverage:
         spans = [r for r in records if r["type"] == "span"]
         ids = {s["id"] for s in spans}
         prefixes = {s["id"].split("-")[0] for s in spans}
-        assert prefixes == {"s00", "s01"}  # both shard files were merged
+        assert prefixes == {"c0", "c1", "c2"}  # one file per circuit
         for span in spans:
             if span["parent"] is not None:
                 assert span["parent"] in ids
-                # Parent/child never cross a shard boundary.
+                # Parent/child never cross a circuit's file.
                 assert span["parent"].split("-")[0] == \
                     span["id"].split("-")[0]
-        # No shard files are left behind after a clean merge.
-        assert not list(tmp_path.glob("par.jsonl.shard-*"))
+        circuits = {s["id"].split("-")[0]: s["attrs"]["circuit"]
+                    for s in spans if s["name"] == "circuit"}
+        assert circuits == {"c0": "ant", "c1": "bee", "c2": "cat"}
+        # No per-circuit trace file is left behind after the fold-in.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["par.jsonl"]
 
     def test_nested_run_does_not_reinstall_tracer(self, tmp_path):
         """A suite run inside an active tracer reuses it (chaos runs

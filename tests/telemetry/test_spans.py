@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import (Tracer, merge_shard_traces, shard_trace_path,
-                             shard_trace_paths)
+from repro.telemetry import Tracer
 from repro.telemetry import spans as telemetry
 
 
@@ -220,9 +219,29 @@ class TestTraceContext:
         assert by_name["job.sandbox"]["id"].startswith("sb-")
         assert by_name["job.sandbox"]["trace"] == "t-abc"
 
+    def test_absorb_skips_torn_tail(self, tmp_path):
+        tracer = Tracer(tmp_path / "t.jsonl")
+        shard = str(tmp_path / "t.jsonl.circuit-0.jsonl")
+        child = Tracer(shard, prefix="c0-")
+        with child.span("circuit", circuit="ant"):
+            pass
+        child.close()
+        with open(shard, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "span", "id": "c0-99", "na')
+        assert tracer.absorb(shard) == 1  # the whole span, not the tear
+        tracer.close()
+        records = read_records(tmp_path / "t.jsonl")
+        assert [r["id"] for r in spans_of(records)] == ["c0-1"]
+
     def test_absorb_missing_shard_is_zero(self, tmp_path):
         tracer = Tracer(tmp_path / "t.jsonl")
         assert tracer.absorb(str(tmp_path / "absent.jsonl")) == 0
+        tracer.close()
+
+    def test_absorb_unreadable_shard_raises(self, tmp_path):
+        tracer = Tracer(tmp_path / "t.jsonl")
+        with pytest.raises(TelemetryError, match="cannot absorb"):
+            tracer.absorb(str(tmp_path))  # a directory, not a file
         tracer.close()
 
 
@@ -257,60 +276,3 @@ class TestGlobalInstall:
             assert telemetry.active() is None
         finally:
             tracer.close()
-
-
-class TestShardMerge:
-    def make_shard(self, base, index, names):
-        tracer = Tracer(shard_trace_path(str(base), index),
-                        prefix=f"s{index:02d}-")
-        for name in names:
-            with tracer.span("circuit", circuit=name):
-                with tracer.span("stage:prepare"):
-                    pass
-        tracer.close()
-
-    def test_merge_preserves_ids_and_parentage(self, tmp_path):
-        base = tmp_path / "trace.jsonl"
-        main = Tracer(base, meta={"kind": "suite"})
-        main.close()
-        self.make_shard(base, 0, ["ant"])
-        self.make_shard(base, 1, ["bee", "cat"])
-        assert len(shard_trace_paths(str(base))) == 2
-        merged = merge_shard_traces(str(base))
-        assert len(merged) == 2
-        assert shard_trace_paths(str(base)) == []  # shards deleted
-        records = read_records(base)
-        spans = spans_of(records)
-        ids = {s["id"] for s in spans}
-        assert all(s["parent"] in ids for s in spans if s["parent"])
-        prefixes = {s["id"].split("-")[0] for s in spans}
-        assert prefixes == {"s00", "s01"}
-        # Shard headers were dropped: only the main header remains.
-        assert sum(1 for r in records if r["type"] == "trace") == 1
-
-    def test_merge_writes_header_when_main_trace_missing(self, tmp_path):
-        base = tmp_path / "trace.jsonl"
-        self.make_shard(base, 0, ["ant"])
-        merge_shard_traces(str(base))
-        records = read_records(base)
-        assert records[0]["type"] == "trace"
-        assert records[0]["meta"] == {"merged": True}
-
-    def test_merge_skips_torn_tail(self, tmp_path):
-        base = tmp_path / "trace.jsonl"
-        self.make_shard(base, 0, ["ant"])
-        shard = shard_trace_path(str(base), 0)
-        with open(shard, "a", encoding="utf-8") as handle:
-            handle.write('{"type": "span", "id": "s00-99", "na')
-        merge_shard_traces(str(base))
-        records = read_records(base)  # json.loads would fail on a torn line
-        assert all(r["id"] != "s00-99" for r in spans_of(records))
-
-    def test_merge_without_shards_is_a_noop(self, tmp_path):
-        assert merge_shard_traces(str(tmp_path / "trace.jsonl")) == []
-
-    def test_unreadable_shard_raises(self, tmp_path):
-        base = tmp_path / "trace.jsonl"
-        missing = shard_trace_path(str(base), 0)
-        with pytest.raises(TelemetryError):
-            merge_shard_traces(str(base), [missing])
