@@ -12,14 +12,15 @@ Disk-entry schema (``format: repro-analysis-cache``, version 1)::
       "checksum": "sha256:<hex>"        // over the canonical JSON body
     }
 
-The checksum covers everything but itself (the manifest-v2 idiom), so a
-torn write, a corrupted sector or a hand edit turns into a checked miss:
-the entry is deleted (*self-eviction*) and the analysis recomputes.  The
-write path is temp-file + fsync + atomic rename in the cache directory,
-so concurrent writers (parallel suite workers sharing one ``--cache-dir``)
-can never observe a partial entry -- the worst race is both computing the
-same value and one rename winning, which is harmless because values are
-pure functions of the key.
+Entries are :mod:`repro.records` envelopes serialized compactly (one
+canonical-JSON line).  A torn write, a corrupted sector or a hand edit
+fails the envelope check and turns into a checked miss: the entry is
+deleted (*self-eviction*) and the analysis recomputes; a read that fails
+before any bytes arrive keeps the entry.  Writes use the records module's
+atomic write into the cache directory, so concurrent writers (parallel
+suite workers sharing one ``--cache-dir``) can never observe a partial
+entry -- the worst race is both computing the same value and one rename
+winning, which is harmless because values are pure functions of the key.
 
 Fault-injection sites (see :mod:`repro.faultplane.sites`):
 ``cache.load.enter`` (read about to begin), ``cache.store.bytes``
@@ -34,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import warnings
 from collections import OrderedDict
@@ -42,6 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from .. import records
 from ..faultplane.hooks import fault_point, filter_bytes
 from ..telemetry import REGISTRY, spans as telemetry
 
@@ -55,6 +56,10 @@ MISS = object()
 
 class CacheWarning(UserWarning):
     """A cache entry was unreadable or corrupt and was self-evicted."""
+
+
+class _CorruptEntry(Exception):
+    """A disk entry failed its envelope or key check (self-evicted)."""
 
 
 def _canonical(payload: Any) -> str:
@@ -227,34 +232,21 @@ class AnalysisCache:
                          help="Bytes read from the disk cache tier"
                          ).inc(len(data))
         try:
-            payload = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._evict(path, f"cache entry {path!r} is not valid JSON "
-                              f"({exc}); evicting it")
-            return MISS
-        if not isinstance(payload, dict) or \
-                payload.get("format") != CACHE_FORMAT or \
-                payload.get("version") != CACHE_VERSION:
-            self._evict(path, f"cache entry {path!r} has an unknown "
-                              f"format/version; evicting it")
-            return MISS
-        stored = payload.get("checksum")
-        body = {k: v for k, v in payload.items() if k != "checksum"}
-        if not isinstance(stored, str) or \
-                stored != f"sha256:{_digest(body)}":
-            self._evict(path, f"cache entry {path!r} fails its integrity "
-                              f"check (torn or corrupted write); "
-                              f"evicting it")
-            return MISS
-        if payload.get("kind") != kind or \
-                payload.get("circuit") != circuit_digest or \
-                not isinstance(payload.get("params"), dict) or \
-                self.key(payload["kind"], payload["circuit"],
-                         payload["params"]) != key:
-            # A checksummed entry under the wrong name: hash-collision
-            # paranoia / hand renames.  Treat as corrupt.
-            self._evict(path, f"cache entry {path!r} does not match its "
-                              f"key; evicting it")
+            payload = records.load_record(
+                data, fmt=CACHE_FORMAT, versions=(CACHE_VERSION,),
+                error=_CorruptEntry, what="cache entry",
+                hint="evicting it", path=path)
+            if payload.get("kind") != kind or \
+                    payload.get("circuit") != circuit_digest or \
+                    not isinstance(payload.get("params"), dict) or \
+                    self.key(payload["kind"], payload["circuit"],
+                             payload["params"]) != key:
+                # A checksummed entry under the wrong name: hash-collision
+                # paranoia / hand renames.  Treat as corrupt.
+                raise _CorruptEntry(f"cache entry {path!r} does not match "
+                                    f"its key; evicting it")
+        except _CorruptEntry as exc:
+            self._evict(path, str(exc))
             return MISS
         return payload.get("value")
 
@@ -283,26 +275,12 @@ class AnalysisCache:
             "params": params,
             "value": value,
         }
-        payload["checksum"] = f"sha256:{_digest(payload)}"
-        data = (_canonical(payload) + "\n").encode("utf-8")
+        data = (_canonical(records.seal(payload)) + "\n").encode("utf-8")
         data = filter_bytes("cache.store.bytes", data)
         try:
             fault_point("cache.store.write", path=path, kind=kind)
             os.makedirs(self.cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=".cache-", suffix=".json",
-                                       dir=self.cache_dir)
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            records.atomic_write(path, data)
         except OSError as exc:
             self._complain(f"cannot write cache entry {path!r}: {exc}; "
                            f"continuing uncached", evict=False)

@@ -178,7 +178,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
         n_frames=args.frames, n_patterns=args.patterns,
         epsilon=args.epsilon, maximal_start=args.maximal_start,
         deadline=args.deadline, max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
         strict=args.strict, guard=not args.no_guard,
         workers=args.workers, cache=_use_cache(args),
         cache_dir=args.cache_dir, trace_path=trace_path)
@@ -318,8 +317,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         circuits=tuple(names), scale=args.scale,
         seed=args.experiment_seed, n_frames=args.frames,
         n_patterns=args.patterns, deadline=args.deadline,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff, workers=args.workers,
+        max_retries=args.max_retries, workers=args.workers,
         cache=use_cache, cache_dir=cache_dir, trace_path=trace_path)
     # Kill mode arms only kill faults by default: a deterministic
     # always-firing fault would make every restart fail identically.
@@ -379,8 +377,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         worker_wall_seconds=args.worker_wall,
         memory_budget_mb=args.memory_budget, seed=args.seed,
         scale=args.scale, deadline=args.deadline,
-        max_retries=args.max_retries, retry_backoff=args.retry_backoff,
-        cache=not args.no_cache, drain_after_idle=args.drain_after_idle,
+        max_retries=args.max_retries, cache=not args.no_cache,
+        drain_after_idle=args.drain_after_idle,
         idle_grace=args.idle_grace, drain_timeout=args.drain_timeout,
         verbose=args.verbose, trace_path=trace_path,
         access_log=args.access_log,
@@ -651,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-retries", type=int, default=1,
                    help="extra attempts per stage before degrading "
                         "(stochastic stages reseed on retry)")
-    p.add_argument("--retry-backoff", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="base of the seeded exponential backoff (with "
-                        "jitter) slept between retries of a stage "
-                        "(default 0: retry immediately)")
     p.add_argument("--strict", action="store_true",
                    help="abort on the first failure instead of "
                         "degrading (debugging mode)")
@@ -716,10 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=None,
                    metavar="SECONDS", help="per-stage wall-clock budget")
     p.add_argument("--max-retries", type=int, default=1)
-    p.add_argument("--retry-backoff", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="base of the seeded retry backoff (0 = retry "
-                        "immediately)")
     p.add_argument("--json", default=None,
                    help="also write the scorecard as JSON here")
     p.add_argument("--frames", type=int, default=15)
@@ -807,10 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=None,
                    metavar="SECONDS", help="per-stage wall-clock budget")
     p.add_argument("--max-retries", type=int, default=1)
-    p.add_argument("--retry-backoff", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="base of the seeded retry backoff (0 = retry "
-                        "immediately)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the shared analysis cache")
     p.add_argument("--drain-after-idle", action="store_true",

@@ -29,9 +29,8 @@ circuit from its coordinates and re-emitting must reproduce those exact
 bytes, in any process on any platform.  Emissions are written in binary
 mode (no platform newline translation) and hashed over the UTF-8
 encoding of the emitted text, so the hash in the manifest is the hash
-of the file on disk.  The top-level checksum is the same canonical-JSON
-integrity digest the run manifests use -- a hand-edited or torn
-manifest fails loudly.
+of the file on disk.  The manifest itself is a :mod:`repro.records`
+envelope -- a hand-edited or torn manifest fails loudly.
 
 See ``docs/corpus.md`` for the policy and ``docs/file_formats.md`` for
 the field reference.
@@ -40,15 +39,14 @@ the field reference.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Any
 
+from .. import records
 from ..errors import ManifestError
 from ..netlist.bench_format import dumps_bench, loads_bench
 from ..netlist.blif_format import dumps_blif, loads_blif
 from ..netlist.circuit import Circuit
-from ..runtime.manifest import manifest_checksum
 from .families import CircuitSpec, build_circuit, resolve_library, tier_specs
 
 CORPUS_MANIFEST_FORMAT = "repro-corpus-manifest"
@@ -111,8 +109,7 @@ def generate_corpus(tier: str) -> tuple[dict[str, Any],
         "tier": tier,
         "circuits": circuits,
     }
-    payload["checksum"] = manifest_checksum(payload)
-    return payload, emissions
+    return records.seal(payload), emissions
 
 
 def write_corpus(tier: str, out_dir: str | os.PathLike[str]) -> dict[str, Any]:
@@ -127,37 +124,20 @@ def write_corpus(tier: str, out_dir: str | os.PathLike[str]) -> dict[str, Any]:
     for filename, text in emissions.items():
         with open(os.path.join(out_dir, filename), "wb") as handle:
             handle.write(text.encode("utf-8"))
-    data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(os.path.join(out_dir, MANIFEST_BASENAME), "wb") as handle:
-        handle.write(data.encode("utf-8"))
+    records.atomic_write(os.path.join(out_dir, MANIFEST_BASENAME),
+                         records.dumps(payload))
     return payload
 
 
 def load_corpus_manifest(path: str | os.PathLike[str]) -> dict[str, Any]:
     """Read and integrity-check a corpus manifest."""
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(
-            f"cannot read corpus manifest {path!r}: {exc}") from exc
-    if not isinstance(payload, dict) or \
-            payload.get("format") != CORPUS_MANIFEST_FORMAT:
-        raise ManifestError(f"{path!r} is not a corpus manifest")
-    if payload.get("version") != CORPUS_MANIFEST_VERSION:
-        raise ManifestError(
-            f"{path!r} has corpus-manifest version "
-            f"{payload.get('version')!r}, this build reads version "
-            f"{CORPUS_MANIFEST_VERSION}")
-    stored = payload.get("checksum")
-    if not isinstance(stored, str) or stored != manifest_checksum(payload):
-        raise ManifestError(
-            f"{path!r} fails its integrity check; the manifest is torn, "
-            f"corrupted or was hand-edited -- regenerate it with "
-            f"'repro-ser corpus generate'")
+    payload = records.load_record(
+        path, fmt=CORPUS_MANIFEST_FORMAT,
+        versions=(CORPUS_MANIFEST_VERSION,), error=ManifestError,
+        what="corpus manifest",
+        hint="regenerate it with 'repro-ser corpus generate'")
     if not isinstance(payload.get("circuits"), dict):
-        raise ManifestError(f"{path!r} has no 'circuits' object")
+        raise ManifestError(f"{os.fspath(path)!r} has no 'circuits' object")
     return payload
 
 

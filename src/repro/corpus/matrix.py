@@ -33,14 +33,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-import json
-
+from .. import records
 from ..errors import ManifestError, NetlistError
-from ..runtime.manifest import (
-    RunManifest,
-    manifest_checksum,
-    result_checksum,
-)
+from ..runtime.manifest import RunManifest, result_checksum
 from ..runtime.suite import SuiteConfig, SuiteResult, run_suite
 from .families import corpus_circuit, tier_specs
 
@@ -204,8 +199,7 @@ class MatrixResult:
             "cells": dict(sorted(self.cells.items())),
             "statuses": dict(sorted(self.statuses.items())),
         }
-        payload["checksum"] = manifest_checksum(payload)
-        return payload
+        return records.seal(payload)
 
 
 def run_matrix(tier: str,
@@ -308,36 +302,18 @@ def cells_from_manifest(manifest_path: str | os.PathLike[str],
 
 def write_digest_table(table: dict[str, Any],
                        path: str | os.PathLike[str]) -> None:
-    """Write a digest table (binary mode: stable bytes everywhere)."""
-    data = json.dumps(table, indent=2, sort_keys=True) + "\n"
-    with open(os.fspath(path), "wb") as handle:
-        handle.write(data.encode("utf-8"))
+    """Atomically write a digest table (stable bytes everywhere)."""
+    records.atomic_write(path, records.dumps(table))
 
 
 def load_digest_table(path: str | os.PathLike[str]) -> dict[str, Any]:
     """Read and integrity-check a digest table."""
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(
-            f"cannot read matrix digest table {path!r}: {exc}") from exc
-    if not isinstance(payload, dict) or \
-            payload.get("format") != MATRIX_FORMAT:
-        raise ManifestError(f"{path!r} is not a matrix digest table")
-    if payload.get("version") != MATRIX_VERSION:
-        raise ManifestError(
-            f"{path!r} has digest-table version "
-            f"{payload.get('version')!r}, this build reads version "
-            f"{MATRIX_VERSION}")
-    stored = payload.get("checksum")
-    if not isinstance(stored, str) or stored != manifest_checksum(payload):
-        raise ManifestError(
-            f"{path!r} fails its integrity check; regenerate it with "
-            f"'repro-ser matrix'")
+    payload = records.load_record(
+        path, fmt=MATRIX_FORMAT, versions=(MATRIX_VERSION,),
+        error=ManifestError, what="matrix digest table",
+        hint="regenerate it with 'repro-ser matrix'")
     if not isinstance(payload.get("cells"), dict):
-        raise ManifestError(f"{path!r} has no 'cells' object")
+        raise ManifestError(f"{os.fspath(path)!r} has no 'cells' object")
     return payload
 
 

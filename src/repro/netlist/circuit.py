@@ -282,8 +282,8 @@ class Circuit:
         flip-flop (name, data net, initial state) in declaration order --
         and nothing they do not (circuit name, cell-library timing).
         Two circuits with equal fingerprints produce identical
-        simulation traces, which is what the observability memo cache
-        (:mod:`repro.runtime.suite`) keys on.
+        simulation traces, which is what the analysis cache's
+        observability entries (:mod:`repro.sim.odc`) key on.
         """
         import hashlib
         import json

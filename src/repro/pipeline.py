@@ -37,6 +37,9 @@ from .retime.verify import forward_initial_states
 from .ser.analysis import SerAnalysis, analyze_ser
 from .sim.odc import observability
 
+#: The retiming solvers :func:`run_solver` dispatches, by name.
+ALGORITHMS = ("minobs", "minobswin")
+
 
 @dataclass
 class AlgorithmOutcome:

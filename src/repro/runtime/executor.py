@@ -33,7 +33,6 @@ the per-circuit records, preserving the serial failure ordering.
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -55,19 +54,15 @@ BACKOFF_FACTOR = 2.0
 #: Ceiling on a single backoff sleep, in seconds.
 BACKOFF_CAP = 30.0
 
-#: Module-level sleep hook so tests can observe/suppress backoff sleeps
-#: without monkeypatching the stdlib for every caller.
-_sleep = time.sleep
-
 
 def backoff_rng(seed: int, stage: str, circuit: str = "") -> random.Random:
-    """The jitter stream of one stage's retries.
+    """The jitter stream of one backoff identity (the supervisor uses
+    one per revived component).
 
     Seeded from ``seed`` and a CRC of the stage/circuit identity --
     *not* ``hash()``, which string randomization makes nondeterministic
     across processes.  The same (seed, stage, circuit) triple therefore
-    reproduces the exact same jitter sequence everywhere: serial runs,
-    parallel workers, chaos replays.
+    reproduces the exact same jitter sequence in every process.
     """
     tag = zlib.crc32(f"{circuit}/{stage}".encode("utf-8"))
     return random.Random(seed ^ tag)
@@ -229,8 +224,7 @@ class StageOutcome:
 def run_ladder(stage: str, rungs: Sequence[Rung | tuple[str, Callable]],
                *, circuit: str = "", max_retries: int = 1,
                deadline: float | None = None, strict: bool = False,
-               failures: list[FailureRecord] | None = None,
-               backoff: float = 0.0, backoff_seed: int = 0) -> StageOutcome:
+               failures: list[FailureRecord] | None = None) -> StageOutcome:
     """Run a stage through its degradation ladder.
 
     Parameters
@@ -256,17 +250,6 @@ def run_ladder(stage: str, rungs: Sequence[Rung | tuple[str, Callable]],
         Re-raise the first failure instead of retrying/degrading.
     failures:
         Optional external sink that also receives every record.
-    backoff:
-        Base seconds of the seeded exponential-backoff-with-jitter sleep
-        between retries of the *same* rung (``0`` -- the default --
-        retries immediately, the historical behavior).  Degrading to a
-        lower rung never sleeps: a lower-fidelity attempt uses different
-        resources, so there is nothing to back off from.  Deterministic
-        failures (:data:`NON_RETRYABLE`) skip retries and therefore
-        never sleep either.
-    backoff_seed:
-        Seed of the jitter stream (see :func:`backoff_rng`); a fixed
-        seed makes the whole delay sequence reproducible.
 
     Raises
     ------
@@ -282,7 +265,6 @@ def run_ladder(stage: str, rungs: Sequence[Rung | tuple[str, Callable]],
     start = perf_counter()
     attempts = 0
     last_error: Exception | None = None
-    rng = backoff_rng(backoff_seed, stage, circuit) if backoff > 0 else None
 
     def emit(record_list: list[FailureRecord]) -> None:
         if failures is not None:
@@ -313,10 +295,6 @@ def run_ladder(stage: str, rungs: Sequence[Rung | tuple[str, Callable]],
                     action = "gave-up"
                 ctx.record(exc, action)
                 if will_retry:
-                    if rng is not None:
-                        delay = backoff_delay(backoff, attempt_idx, rng)
-                        if delay > 0.0:
-                            _sleep(delay)
                     attempt_idx += 1
                     continue
                 break  # next rung

@@ -43,30 +43,26 @@ executor (:mod:`repro.runtime.parallel`) leans on this: its
 determinism guarantee is stated and tested as result-checksum
 equality with a ``workers=1`` run.
 
-Durability protocol: the payload (checksum included) is written to a
-temp file in the target directory, the temp file is flushed and
-``fsync``\\ ed, then atomically renamed over the manifest, and the
-directory entry is fsynced best-effort.  A crash at *any* point
-therefore leaves either the previous manifest or the new one -- never a
-torn file -- and the checksum turns any remaining corruption (filesystem
-lies, hand edits) into a clear :class:`~repro.errors.ManifestError`
-instead of a resume from garbage.  The write path is instrumented with
-``manifest.save.*`` fault-injection sites (see
-:mod:`repro.faultplane.sites`) and the chaos suite kills the process at
-each of them to prove the claim.
+The file is a :mod:`repro.records` envelope written by its atomic
+write, so a crash at *any* point leaves either the previous manifest or
+the new one -- never a torn file -- and the checksum turns any remaining
+corruption (filesystem lies, hand edits) into a clear
+:class:`~repro.errors.ManifestError` instead of a resume from garbage.
+The write path is instrumented with ``manifest.save.*`` fault-injection
+sites (see :mod:`repro.faultplane.sites`) and the chaos suite kills the
+process at each of them to prove the claim.
 
 See ``docs/file_formats.md`` for the full field reference.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any
 
+from .. import records
 from ..errors import ManifestError
 from ..faultplane.hooks import fault_point, filter_bytes
 from .executor import FailureRecord
@@ -74,31 +70,12 @@ from .executor import FailureRecord
 MANIFEST_FORMAT = "repro-run-manifest"
 MANIFEST_VERSION = 3
 
-#: Checksum fields excluded from both digests (they describe the file,
-#: not the run).
-_CHECKSUM_KEYS = ("checksum", "result_checksum")
-
 #: Wall-clock fields of a Table I row (the only nondeterministic row
 #: columns; see :data:`repro.faultplane.chaos.TIME_FIELDS`).
 _ROW_TIME_FIELDS = ("ref_time", "new_time")
 #: Wall-clock fields of a flattened report (see
 #: :func:`repro.reporting.result_to_dict`).
 _REPORT_TIME_FIELDS = ("obs_runtime",)
-
-
-def _canonical_digest(body: dict[str, Any]) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return f"sha256:{digest}"
-
-
-def manifest_checksum(payload: dict[str, Any]) -> str:
-    """Integrity checksum: ``"sha256:<hex>"`` over the canonical JSON
-    serialization (sorted keys, compact separators) with the checksum
-    fields themselves excluded."""
-    body = {key: value for key, value in payload.items()
-            if key not in _CHECKSUM_KEYS}
-    return _canonical_digest(body)
 
 
 def mask_volatile(payload: dict[str, Any]) -> dict[str, Any]:
@@ -117,7 +94,7 @@ def mask_volatile(payload: dict[str, Any]) -> dict[str, Any]:
     no masking can hide that.)
     """
     masked = json.loads(json.dumps(payload))  # cheap deep copy
-    for key in _CHECKSUM_KEYS:
+    for key in records.CHECKSUM_KEYS:
         masked.pop(key, None)
     for record in masked.get("completed", {}).values():
         if not isinstance(record, dict):
@@ -156,7 +133,7 @@ def result_checksum(payload: dict[str, Any]) -> str:
     """Determinism checksum: the integrity digest of the time-masked
     payload (see :func:`mask_volatile`).  Stable across reruns, resumes
     and worker counts of the same configuration."""
-    return _canonical_digest(mask_volatile(payload))
+    return records.canonical_digest(mask_volatile(payload))
 
 
 #: Required top-level manifest fields and their types (beyond the
@@ -257,7 +234,7 @@ class RunManifest:
             "completed": {name: rec.to_dict()
                           for name, rec in self.completed.items()},
         }
-        payload["checksum"] = manifest_checksum(payload)
+        records.seal(payload)
         payload["result_checksum"] = result_checksum(payload)
         return payload
 
@@ -266,77 +243,26 @@ class RunManifest:
         return result_checksum(self.payload())
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        """Durably and atomically write the manifest.
-
-        Temp file in the target directory -> write -> flush -> fsync ->
-        atomic rename -> best-effort directory fsync.  A crash anywhere
-        in this sequence leaves either the old manifest or the new one
-        on disk, never a torn mix.
-        """
+        """Durably and atomically write the manifest
+        (:func:`repro.records.atomic_write`): a crash anywhere leaves
+        either the old manifest or the new one on disk, never a torn
+        mix."""
         path = os.fspath(path)
         fault_point("manifest.save.enter", path=path,
                     completed=len(self.completed))
-        data = (json.dumps(self.payload(), indent=2, sort_keys=True)
-                + "\n").encode("utf-8")
-        data = filter_bytes("manifest.save.bytes", data)
-        directory = os.path.dirname(path) or "."
-        fd, tmp = tempfile.mkstemp(prefix=".manifest-", suffix=".json",
-                                   dir=directory)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                half = len(data) // 2
-                handle.write(data[:half])
-                handle.flush()
-                fault_point("manifest.save.midwrite", path=path)
-                handle.write(data[half:])
-                handle.flush()
-                os.fsync(handle.fileno())
-            fault_point("manifest.save.rename", path=path)
-            os.replace(tmp, path)
-            try:
-                dir_fd = os.open(directory, os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
-            except OSError:
-                pass  # directory fsync is best-effort (not all platforms)
-            fault_point("manifest.save.done", path=path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        data = filter_bytes("manifest.save.bytes",
+                            records.dumps(self.payload()))
+        records.atomic_write(path, data, step=lambda step: fault_point(
+            f"manifest.save.{step}", path=path))
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "RunManifest":
         path = os.fspath(path)
         fault_point("manifest.load.enter", path=path)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ManifestError(f"cannot read run manifest {path!r}: {exc}") \
-                from exc
-        if not isinstance(payload, dict) or \
-                payload.get("format") != MANIFEST_FORMAT:
-            raise ManifestError(f"{path!r} is not a run manifest")
-        if payload.get("version") != MANIFEST_VERSION:
-            raise ManifestError(
-                f"{path!r} has manifest version {payload.get('version')!r}, "
-                f"this build reads version {MANIFEST_VERSION}")
-        stored = payload.get("checksum")
-        if not isinstance(stored, str):
-            raise ManifestError(
-                f"{path!r} has no checksum field; the manifest is "
-                f"truncated or was written by an incompatible tool")
-        expected = manifest_checksum(payload)
-        if stored != expected:
-            raise ManifestError(
-                f"{path!r} fails its integrity check (stored {stored}, "
-                f"computed {expected}); the file is torn or corrupted -- "
-                f"delete it to restart the run from scratch")
+        payload = records.load_record(
+            path, fmt=MANIFEST_FORMAT, versions=(MANIFEST_VERSION,),
+            error=ManifestError, what="run manifest",
+            hint="delete it to restart the run from scratch")
         stored_result = payload.get("result_checksum")
         if isinstance(stored_result, str) and \
                 stored_result != result_checksum(payload):

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 import time
-from collections import OrderedDict
 from collections.abc import Callable
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -44,16 +42,16 @@ from ..cache import cached, obs_digest, timing_digest
 from ..core.elw import circuit_elws, incremental_circuit_elws
 from ..core.initialization import InitialRetiming, initialize
 from ..core.minobswin import RetimingResult
-from ..errors import DeadlineExceeded
+from ..errors import DeadlineExceeded, RetimingError
 from ..faultplane import hooks
 from ..faultplane.hooks import fault_point
 from ..graph.retiming_graph import RetimingGraph
 from ..graph.timing import achieved_period
 from ..netlist.circuit import Circuit
 from ..netlist.validate import validate_circuit
-from ..pipeline import (AlgorithmOutcome, PipelineResult, build_problem,
-                        compute_observability, rebuild_retimed_states,
-                        run_solver, table1_row)
+from ..pipeline import (ALGORITHMS, AlgorithmOutcome, PipelineResult,
+                        build_problem, compute_observability,
+                        rebuild_retimed_states, run_solver, table1_row)
 from ..reporting import result_to_dict
 from ..ser.analysis import analyze_ser
 from ..telemetry import REGISTRY, MetricsRegistry, Tracer
@@ -65,58 +63,6 @@ from .manifest import CircuitRecord, RunManifest
 #: Seed stride between observability reseed attempts (any odd prime-ish
 #: constant works; it only needs to decorrelate the pattern streams).
 RESEED_STRIDE = 1009
-
-#: Entries kept by the per-process observability memo cache.
-OBS_CACHE_SIZE = 32
-
-#: The per-process (hence, in parallel runs, per-worker) memo cache for
-#: the observability-simulation stage: ``(circuit fingerprint, frames,
-#: patterns, seed) -> (obs, runtime)``.  Observabilities are
-#: retiming-invariant and deterministic given those four keys, so any
-#: repeat computation -- the clean reference run of a chaos double-run,
-#: a golden-file regeneration, back-to-back determinism checks -- is a
-#: pure waste of the dominant simulation cost.
-_OBS_CACHE: OrderedDict[tuple[str, int, int, int],
-                        tuple[dict[str, float], float]] = OrderedDict()
-
-#: Guards the memo cache: the service worker pool runs several circuits
-#: concurrently in one process, and an unlocked reorder-while-evict
-#: corrupts the OrderedDict.
-_OBS_CACHE_LOCK = threading.Lock()
-
-
-def clear_obs_cache() -> None:
-    """Drop every memoized observability result (test isolation hook)."""
-    with _OBS_CACHE_LOCK:
-        _OBS_CACHE.clear()
-
-
-def cached_observability(circuit: Circuit, n_frames: int, n_patterns: int,
-                         seed: int) -> tuple[dict[str, float], float]:
-    """Memoizing front of :func:`repro.pipeline.compute_observability`.
-
-    Bypassed entirely (no read, no write) while a fault injector is
-    installed: chaos runs must visit the ``sim.observability`` injection
-    site on every attempt, and results computed under an armed plan must
-    never leak into clean runs.
-    """
-    if hooks.active() is not None:
-        return compute_observability(circuit, n_frames=n_frames,
-                                     n_patterns=n_patterns, seed=seed)
-    key = (circuit.fingerprint(), n_frames, n_patterns, seed)
-    with _OBS_CACHE_LOCK:
-        hit = _OBS_CACHE.get(key)
-        if hit is not None:
-            _OBS_CACHE.move_to_end(key)
-            return hit
-    value = compute_observability(circuit, n_frames=n_frames,
-                                  n_patterns=n_patterns, seed=seed)
-    with _OBS_CACHE_LOCK:
-        _OBS_CACHE[key] = value
-        while len(_OBS_CACHE) > OBS_CACHE_SIZE:
-            _OBS_CACHE.popitem(last=False)
-    return value
-
 
 def _encode_init(init: InitialRetiming) -> dict[str, Any]:
     return {"r0": [int(x) for x in init.r0], "phi": init.phi,
@@ -265,11 +211,6 @@ class SuiteConfig:
     deadline: float | None = None
     #: Extra attempts per ladder rung for retryable failures.
     max_retries: int = 1
-    #: Base seconds of the seeded exponential backoff (with jitter)
-    #: slept between retries of the same rung; 0 retries immediately.
-    #: A resilience knob like ``max_retries``: it changes failure
-    #: *pacing* only, never results, so it stays out of the fingerprint.
-    retry_backoff: float = 0.0
     #: Propagate the first failure instead of degrading (debug mode).
     strict: bool = False
     #: Run the post-retime verification guard on every solver result.
@@ -298,6 +239,14 @@ class SuiteConfig:
     #: enter the fingerprint.  Parallel workers trace to per-circuit
     #: sibling files which the parent folds into this one.
     trace_path: str | None = None
+
+    def __post_init__(self) -> None:
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise RetimingError(
+                f"SuiteConfig.algorithms: unknown algorithm(s) "
+                f"{', '.join(map(repr, unknown))} (known: "
+                f"{', '.join(ALGORITHMS)})")
 
     def fingerprint(self) -> dict[str, Any]:
         """The result-determining configuration, for manifest matching."""
@@ -440,9 +389,7 @@ def _optimize_resilient(circuit: Circuit,
         return run_ladder(stage, rungs, circuit=name,
                           max_retries=config.max_retries,
                           deadline=config.deadline, strict=config.strict,
-                          failures=failures,
-                          backoff=config.retry_backoff,
-                          backoff_seed=config.seed)
+                          failures=failures)
 
     # Perf accounting: per-stage wall clocks, analysis-cache counter
     # deltas, incremental-ELW reuse counts and the metrics-registry
@@ -525,9 +472,9 @@ def _optimize_resilient(circuit: Circuit,
     hold = circuit.library.hold_time
 
     def run_stages() -> CircuitRun:
-        # ---- stage 2: observability (retry-with-reseed, memoized) ----
+        # ---- stage 2: observability (retry-with-reseed) --------------
         def sim_obs(ctx: Attempt):
-            return cached_observability(
+            return compute_observability(
                 circuit, n_frames=config.n_frames,
                 n_patterns=config.n_patterns,
                 seed=config.seed + RESEED_STRIDE * ctx.attempt)

@@ -31,6 +31,7 @@ from ..circuits.suites import TABLE1_ROWS
 from ..errors import AdmissionError, NetlistError
 from ..faultplane.hooks import fault_point
 from ..netlist.bench_format import loads_bench
+from ..pipeline import ALGORITHMS
 from ..telemetry import REGISTRY
 
 #: Valid Table I circuit names.
@@ -49,8 +50,6 @@ MAX_TENANTS = 1024
 _ALLOWED_FIELDS = ("circuit", "netlist", "name", "tenant", "scale", "seed",
                    "frames", "patterns", "epsilon", "algorithms",
                    "maximal_start", "restart")
-
-_ALGORITHMS = ("minobs", "minobswin")
 
 #: Retry-After hint handed out with a memory-pressure 503, in seconds.
 #: Long enough for a worker to finish and release its footprint, short
@@ -203,10 +202,10 @@ def validate_payload(payload: Any) -> dict[str, Any]:
     if "algorithms" in payload:
         algorithms = payload["algorithms"]
         if (not isinstance(algorithms, list) or not algorithms
-                or any(a not in _ALGORITHMS for a in algorithms)):
+                or any(a not in ALGORITHMS for a in algorithms)):
             raise _reject(
                 f"'algorithms' must be a non-empty subset of "
-                f"{list(_ALGORITHMS)}", field="algorithms")
+                f"{list(ALGORITHMS)}", field="algorithms")
         spec["algorithms"] = list(algorithms)
     for flag in ("maximal_start", "restart"):
         if flag in payload:

@@ -90,7 +90,6 @@ class ServiceConfig:
     scale: float = DEFAULT_SCALE
     deadline: float | None = None
     max_retries: int = 1
-    retry_backoff: float = 0.0
     #: Shared analysis cache (memory + ``<root>/cache`` disk tier).
     cache: bool = True
     #: Exit 0 once the queue has been idle for ``idle_grace`` seconds
@@ -127,8 +126,7 @@ class RetimingService:
             memory_budget_mb=config.memory_budget_mb)
         self.defaults = ExecutionDefaults(
             scale=config.scale, deadline=config.deadline,
-            max_retries=config.max_retries,
-            retry_backoff=config.retry_backoff)
+            max_retries=config.max_retries)
         limits = SandboxLimits(memory_mb=config.worker_memory_mb,
                                cpu_seconds=config.worker_cpu_seconds,
                                wall_seconds=config.worker_wall_seconds)

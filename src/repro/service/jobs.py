@@ -4,10 +4,9 @@ One job = one file ``<queue root>/jobs/<id>.json`` (format
 ``repro-job``, version 2, sha256 checksum over the canonical JSON;
 version-1 records -- written before trace context existed -- load
 compatibly with ``trace_id``/``span_id`` as ``None``).
-Every record write rides the same durability protocol as the run
-manifest (temp file -> flush -> fsync -> atomic rename -> best-effort
-directory fsync), so a crash at any point leaves either the previous
-record or the new one -- never a torn file.  The write path visits the
+Every record is a :mod:`repro.records` envelope written by its atomic
+write, so a crash at any point leaves either the previous record or the
+new one -- never a torn file.  The write path visits the
 ``service.persist`` fault-injection site; the service chaos suite kills
 the process there to prove the claim.
 
@@ -30,16 +29,15 @@ reference.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
+from .. import records
 from ..errors import JobStateError
 from ..faultplane.hooks import fault_point
-from ..runtime.manifest import manifest_checksum, result_checksum
+from ..runtime.manifest import result_checksum
 
 JOB_FORMAT = "repro-job"
 #: Version 2 added the ``trace_id``/``span_id`` observability fields;
@@ -231,45 +229,19 @@ class JobRecord:
 
 
 def save_job(record: JobRecord, path: str | os.PathLike[str]) -> None:
-    """Durably and atomically write one job record.
+    """Durably and atomically write one job record
+    (:func:`repro.records.atomic_write`).
 
-    Same protocol as :meth:`~repro.runtime.manifest.RunManifest.save`;
-    the ``service.persist`` fault site fires *before* the write begins,
+    The ``service.persist`` fault site fires *before* the write begins,
     so an injected crash there models losing the entire persist -- the
     on-disk record stays at the previous state and recovery requeues
     from it.
     """
-    path = os.fspath(path)
     fault_point("service.persist", job=record.id, state=record.state)
     payload = record.to_dict()
     payload["format"] = JOB_FORMAT
     payload["version"] = JOB_VERSION
-    payload["checksum"] = manifest_checksum(payload)
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n") \
-        .encode("utf-8")
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".job-", suffix=".json",
-                               dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass  # directory fsync is best-effort (not all platforms)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    records.atomic_write(path, records.dumps(records.seal(payload)))
 
 
 def load_job(path: str | os.PathLike[str]) -> JobRecord:
@@ -279,24 +251,10 @@ def load_job(path: str | os.PathLike[str]) -> JobRecord:
     tampered files; the queue's recovery pass quarantines those aside as
     ``.corrupt`` instead of crashing the whole service.
     """
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise JobStateError(f"cannot read job record {path!r}: {exc}") \
-            from exc
-    if not isinstance(payload, dict) or payload.get("format") != JOB_FORMAT:
-        raise JobStateError(f"{path!r} is not a job record")
-    if payload.get("version") not in COMPATIBLE_JOB_VERSIONS:
-        raise JobStateError(
-            f"{path!r} has job-record version {payload.get('version')!r}, "
-            f"this build reads versions {COMPATIBLE_JOB_VERSIONS}")
-    stored = payload.get("checksum")
-    if not isinstance(stored, str) or stored != manifest_checksum(payload):
-        raise JobStateError(
-            f"{path!r} fails its integrity check; the file is torn or "
-            f"was edited by hand")
+    payload = records.load_record(
+        path, fmt=JOB_FORMAT, versions=COMPATIBLE_JOB_VERSIONS,
+        error=JobStateError, what="job record",
+        hint="recovery sets it aside as .corrupt")
     body = {key: value for key, value in payload.items()
             if key not in ("format", "version", "checksum")}
     return JobRecord.from_dict(body)

@@ -419,7 +419,7 @@ class JobQueue:
                 try:
                     record = load_job(path)
                 except JobStateError:
-                    os.replace(path, path + ".corrupt")
+                    os.rename(path, path + ".corrupt")
                     corrupt.append(entry)
                     REGISTRY.counter("service.jobs.corrupt").inc()
                     continue

@@ -49,6 +49,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..records import atomic_write
+
 #: Exit code a sandbox child uses to report that the job's execution
 #: died of a ``MemoryError`` (its rlimit refused an allocation).
 #: Distinct from :data:`repro.faultplane.plan.KILL_EXIT_CODE` (86) so
@@ -126,13 +128,8 @@ def job_display_name(spec: dict[str, Any]) -> str:
 
 
 def _write_json_atomic(path: str, payload: dict[str, Any]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, (json.dumps(payload, sort_keys=True) + "\n")
+                 .encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,6 @@ class ExecutionDefaults:
     algorithms: tuple[str, ...] = ("minobs", "minobswin")
     deadline: float | None = None
     max_retries: int = 1
-    retry_backoff: float = 0.0
 
 
 def build_circuit(spec: dict[str, Any],
@@ -105,8 +104,7 @@ def execute_job(spec: dict[str, Any],
         algorithms=tuple(spec.get("algorithms", defaults.algorithms)),
         maximal_start=bool(spec.get("maximal_start", False)),
         restart=bool(spec.get("restart", True)),
-        deadline=defaults.deadline, max_retries=defaults.max_retries,
-        retry_backoff=defaults.retry_backoff)
+        deadline=defaults.deadline, max_retries=defaults.max_retries)
     run = optimize_resilient(circuit, config)
     record = run.to_record().to_dict()
     return {"name": name, "status": run.status, "record": record,

@@ -14,21 +14,6 @@ from repro.circuits import (
 from repro.netlist import Circuit, loads_bench
 
 
-@pytest.fixture(autouse=True)
-def fresh_obs_cache():
-    """Isolate the per-process observability memo cache between tests.
-
-    A hit served from a previous test would silently bypass a
-    monkeypatched ``compute_observability`` (and mask cache bugs), so
-    every test starts cold.
-    """
-    from repro.runtime.suite import clear_obs_cache
-
-    clear_obs_cache()
-    yield
-    clear_obs_cache()
-
-
 @pytest.fixture
 def tiny_bench_text() -> str:
     """A small sequential circuit in .bench format."""

@@ -31,7 +31,6 @@ from repro.corpus import (
 )
 from repro.corpus.matrix import GOLDEN_BASENAME, compare_digest_tables
 from repro.flatcore import lower, validate_flat
-from repro.runtime.suite import clear_obs_cache
 from repro.ser.analysis import analyze_ser
 from repro.sim.bitvec import random_patterns
 from repro.sim.logicsim import simulate_comb
@@ -197,17 +196,14 @@ class TestChecksumParity:
 
     @pytest.fixture(scope="class")
     def object_cells(self, object_core):
-        clear_obs_cache()
         with object_core():
             return run_matrix("small", **SUBSET).cells
 
     def test_flat_serial_matches_object(self, object_cells):
-        clear_obs_cache()
         flat = run_matrix("small", **SUBSET)
         assert flat.cells == object_cells
 
     def test_flat_two_workers_match_object_serial(self, object_cells):
-        clear_obs_cache()
         flat = run_matrix("small", workers=2, **SUBSET)
         assert flat.cells == object_cells
 
@@ -217,12 +213,10 @@ class TestChecksumParity:
         # flat run fills the disk tier, a warm object run reads those
         # very entries -- and both emit the object-serial digests.
         cache_dir = str(tmp_path / "cache")
-        clear_obs_cache()
         cold = run_matrix("small", cache=True, cache_dir=cache_dir,
                           **SUBSET)
         assert cold.cells == object_cells
         assert os.listdir(cache_dir)  # the disk tier was really filled
-        clear_obs_cache()
         with object_core():
             warm = run_matrix("small", cache=True, cache_dir=cache_dir,
                               **SUBSET)
@@ -244,7 +238,6 @@ class TestFullTierParity:
     ], ids=["object-serial", "flat-serial", "flat-workers2"])
     def test_full_matrix_matches_golden(self, golden, object_core, oracle,
                                         workers):
-        clear_obs_cache()
         with object_core() if oracle else contextlib.nullcontext():
             result = run_matrix("small", workers=workers)
         assert len(result.cells) == 36
@@ -254,10 +247,8 @@ class TestFullTierParity:
                                                      object_core,
                                                      tmp_path):
         cache_dir = str(tmp_path / "cache")
-        clear_obs_cache()
         cold = run_matrix("small", cache=True, cache_dir=cache_dir)
         assert compare_digest_tables(cold.digest_table(), golden) == []
-        clear_obs_cache()
         with object_core():
             warm = run_matrix("small", cache=True, cache_dir=cache_dir)
         assert compare_digest_tables(warm.digest_table(), golden) == []

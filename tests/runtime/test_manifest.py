@@ -6,17 +6,17 @@ import os
 import pytest
 
 from repro.errors import ManifestError
+from repro.records import checksum
 from repro.runtime.executor import FailureRecord
 from repro.runtime.manifest import (MANIFEST_FORMAT, MANIFEST_VERSION,
                                     CircuitRecord, RunManifest,
-                                    manifest_checksum, mask_volatile,
-                                    result_checksum)
+                                    mask_volatile, result_checksum)
 
 
 def write_payload(path, payload):
     """Write a hand-built manifest payload with a valid checksum."""
     payload = dict(payload)
-    payload["checksum"] = manifest_checksum(payload)
+    payload["checksum"] = checksum(payload)
     path.write_text(json.dumps(payload))
 
 
@@ -205,7 +205,7 @@ class TestResultChecksum:
         path = tmp_path / "m.json"
         self.manifest_with(1.0).save(path)
         payload = json.loads(path.read_text())
-        assert payload["checksum"] == manifest_checksum(payload)
+        assert payload["checksum"] == checksum(payload)
         assert payload["result_checksum"] == result_checksum(payload)
 
     def test_tampered_result_checksum_rejected(self, tmp_path):
@@ -213,7 +213,7 @@ class TestResultChecksum:
         self.manifest_with(1.0).save(path)
         payload = json.loads(path.read_text())
         payload["result_checksum"] = "sha256:" + "0" * 64
-        payload["checksum"] = manifest_checksum(payload)
+        payload["checksum"] = checksum(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ManifestError, match="result-determinism"):
             RunManifest.load(path)

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro import cache as analysis_cache
 from repro.circuits import random_sequential_circuit
-from repro.errors import ManifestError, TimingError
+from repro.errors import ManifestError, RetimingError, TimingError
 from repro.runtime import suite as suite_mod
 from repro.runtime.suite import (SuiteConfig, optimize_resilient,
                                  run_suite)
@@ -230,6 +231,12 @@ class TestCheckpointResume:
 
 
 class TestSuiteConfig:
+    def test_unknown_algorithm_rejected(self):
+        # Not silently run as MinObs under a "magic=minobs" status.
+        with pytest.raises(RetimingError, match="SuiteConfig.algorithms.*"
+                                                "'magic'"):
+            replace(CFG, algorithms=("minobs", "magic"))
+
     def test_fingerprint_excludes_resilience_knobs(self):
         base = CFG.fingerprint()
         tweaked = replace(CFG, deadline=1.0, max_retries=9, strict=True,
@@ -248,59 +255,40 @@ class TestSuiteConfig:
 
 
 class TestObservabilityCache:
-    def count_calls(self, monkeypatch):
-        real = suite_mod.compute_observability
-        calls = []
+    """The suite's observability stage reuses results through the
+    analysis cache's ``"obs"`` kind (:mod:`repro.sim.odc`)."""
 
-        def counting(circuit, n_frames, n_patterns, seed):
-            calls.append(circuit.name)
-            return real(circuit, n_frames=n_frames,
-                        n_patterns=n_patterns, seed=seed)
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.sim import odc
 
-        monkeypatch.setattr(suite_mod, "compute_observability", counting)
-        return calls
+        real = odc._observability_impl
+        seen = []
 
-    def test_repeat_run_hits_cache(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
+        def counting(circuit, *args):
+            seen.append(circuit.name)
+            return real(circuit, *args)
+
+        monkeypatch.setattr(odc, "_observability_impl", counting)
+        with analysis_cache.activated(analysis_cache.AnalysisCache()):
+            yield seen
+
+    def test_repeat_run_hits_cache(self, calls):
         first = optimize_resilient(tiny_factory("alpha"), CFG)
         second = optimize_resilient(tiny_factory("alpha"), CFG)
-        assert calls == ["alpha"]  # one simulation, second run memoized
+        assert calls == ["alpha"]  # one simulation, second run cached
         assert first.row["ser"] == second.row["ser"]
 
-    def test_keyed_on_structure_not_name(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
+    def test_keyed_on_structure_not_name(self, calls):
         circuit = tiny_factory("alpha")
         renamed = circuit.copy(name="other")
-        suite_mod.cached_observability(circuit, 3, 32, 0)
-        suite_mod.cached_observability(renamed, 3, 32, 0)
+        suite_mod.compute_observability(circuit, 3, 32, 0)
+        suite_mod.compute_observability(renamed, 3, 32, 0)
         assert calls == ["alpha"]  # same structure -> same cache entry
 
-    def test_distinct_keys_recompute(self, monkeypatch):
-        calls = self.count_calls(monkeypatch)
+    def test_distinct_keys_recompute(self, calls):
         circuit = tiny_factory("alpha")
-        suite_mod.cached_observability(circuit, 3, 32, 0)
-        suite_mod.cached_observability(circuit, 3, 32, 1)  # other seed
-        suite_mod.cached_observability(tiny_factory("beta"), 3, 32, 0)
+        suite_mod.compute_observability(circuit, 3, 32, 0)
+        suite_mod.compute_observability(circuit, 3, 32, 1)  # other seed
+        suite_mod.compute_observability(tiny_factory("beta"), 3, 32, 0)
         assert len(calls) == 3
-
-    def test_bypassed_under_fault_injection(self, monkeypatch):
-        from repro.faultplane import hooks
-        from repro.faultplane.plan import FaultInjector, FaultPlan
-
-        calls = self.count_calls(monkeypatch)
-        circuit = tiny_factory("alpha")
-        suite_mod.cached_observability(circuit, 3, 32, 0)
-        with hooks.installed(FaultInjector(FaultPlan())):
-            # chaos runs must visit sim sites every time and must not
-            # poison the cache for clean runs
-            suite_mod.cached_observability(circuit, 3, 32, 0)
-            suite_mod.cached_observability(circuit, 3, 32, 0)
-        suite_mod.cached_observability(circuit, 3, 32, 0)
-        assert len(calls) == 3  # miss, two bypasses, then a clean hit
-
-    def test_cache_is_bounded(self):
-        suite_mod.clear_obs_cache()
-        circuit = tiny_factory("alpha")
-        for seed in range(suite_mod.OBS_CACHE_SIZE + 5):
-            suite_mod.cached_observability(circuit, 1, 4, seed)
-        assert len(suite_mod._OBS_CACHE) == suite_mod.OBS_CACHE_SIZE

@@ -104,28 +104,28 @@ class TestSchemaVersions:
     def test_v1_record_loads_with_no_trace_context(self, tmp_path):
         # A record written by the previous schema: no trace fields at
         # all.  It must load cleanly with the trace context absent.
-        from repro.runtime.manifest import manifest_checksum
+        from repro.records import checksum
 
         path = tmp_path / "job.json"
         save_job(make_record(), path)
         payload = json.loads(path.read_text())
         payload["version"] = 1
         del payload["trace_id"], payload["span_id"], payload["checksum"]
-        payload["checksum"] = manifest_checksum(payload)
+        payload["checksum"] = checksum(payload)
         path.write_text(json.dumps(payload))
         loaded = load_job(path)
         assert loaded.trace_id is None and loaded.span_id is None
         assert loaded.id == "j-000000000001"
 
     def test_unknown_future_version_rejected(self, tmp_path):
-        from repro.runtime.manifest import manifest_checksum
+        from repro.records import checksum
 
         path = tmp_path / "job.json"
         save_job(make_record(), path)
         payload = json.loads(path.read_text())
         payload["version"] = 3
         del payload["checksum"]
-        payload["checksum"] = manifest_checksum(payload)
+        payload["checksum"] = checksum(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(JobStateError, match="version"):
             load_job(path)
