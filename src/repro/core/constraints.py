@@ -39,7 +39,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..graph.retiming_graph import RetimingGraph
-from ..graph.timing import BoundaryLabels, critical_path, label_lists
+from ..graph.timing import IncrementalLabels, critical_path, label_lists
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def _first_mover(delta: np.ndarray | None,
 def check_constraints(problem: Problem, r: Sequence[int] | np.ndarray,
                       delta: np.ndarray | None = None,
                       skip_p2: bool = False,
-                      labels: BoundaryLabels | None = None,
+                      labels: IncrementalLabels | None = None,
                       ) -> Violation | None:
     """Find the first violated constraint of Problem 1 under ``r``.
 
@@ -176,7 +176,8 @@ def check_constraints(problem: Problem, r: Sequence[int] | np.ndarray,
         Per-vertex tentative decrease (0 for non-movers); used only to
         identify the mover ``p`` of the diagnosed active constraint.
     labels:
-        Pre-computed boundary labels for ``r`` (recomputed when omitted).
+        A label maintainer to bring up to date with ``r`` instead of a
+        full timing pass (see :func:`find_violations`).
 
     Returns None when ``r`` satisfies all constraints.
     """
@@ -188,7 +189,7 @@ def check_constraints(problem: Problem, r: Sequence[int] | np.ndarray,
 def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
                     delta: np.ndarray | None = None,
                     skip_p2: bool = False,
-                    labels: BoundaryLabels | None = None,
+                    labels: IncrementalLabels | None = None,
                     limit: int | None = None) -> list[Violation]:
     """Diagnose violated constraints of Problem 1 under ``r``.
 
@@ -198,7 +199,9 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
     constraints per timing pass instead of one.
 
     ``limit`` caps the number of diagnoses (1 recovers the classic
-    one-at-a-time behaviour of Algorithm 1).
+    one-at-a-time behaviour of Algorithm 1).  A label maintainer
+    built for ``problem``'s clock parameters (``labels``) stands in for
+    the full label pass; it sees ``w_r`` only when ``r`` passes P0.
     """
     graph = problem.graph
     weights = graph.retimed_weights(r)
@@ -222,8 +225,7 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
             graph, weights, problem.phi, problem.setup, problem.hold,
             problem.hold_at_outputs)
     else:
-        L, R = labels.L.tolist(), labels.R.tolist()
-        lsucc, rsucc = labels.lsucc.tolist(), labels.rsucc.tolist()
+        L, R, _, _, lsucc, rsucc = labels.update(weights)
 
     # ---- P2': shortest register-to-register paths --------------------
     if not skip_p2:

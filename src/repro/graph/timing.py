@@ -205,6 +205,108 @@ def label_lists(graph: RetimingGraph, weights: np.ndarray, phi: float,
     return L, R, lt, rt, lsucc, rsucc
 
 
+class IncrementalLabels:
+    """The :func:`label_lists` lists kept current across edits of ``w_r``.
+
+    A walk that changes a few registers per step owns one instance and
+    calls :meth:`update` with each new valid weight vector.  The first
+    update is one full :func:`label_lists` pass.  Later updates diff the
+    weights against the previous update's and recompute only the tails
+    of the changed edges, with :func:`label_lists`' own rule per vertex
+    (same edge order, same strict comparisons, same terminal and
+    successor updates).  A vertex whose ``L``/``R``/``lt``/``rt`` moved
+    queues its zero-weight fan-in in turn.
+
+    Exact: the labels are the unique solution of the per-vertex rule
+    over the zero-weight subgraph, a DAG under every valid retiming, so
+    the recompute order cannot change the result.  Only valid weights
+    (``w_r >= 0``) may be passed; skipping invalid states is fine, as the
+    next update diffs against the last one it saw.  The lists are owned
+    by the instance and change in place on the next update.
+    """
+
+    def __init__(self, graph: RetimingGraph, phi: float, setup: float,
+                 hold: float, hold_at_outputs: bool):
+        self.graph = graph
+        self.phi = phi
+        self.setup = setup
+        self.hold = hold
+        self.hold_at_outputs = hold_at_outputs
+        self._tails = graph.edge_arrays()[0].tolist()
+        self._weights: np.ndarray | None = None
+        self._fanout: list[int] = []
+        self._lists: tuple[list[float], list[float], list[int], list[int],
+                           list[int], list[int]] | None = None
+
+    def update(self, weights: np.ndarray,
+               ) -> tuple[list[float], list[float], list[int], list[int],
+                          list[int], list[int]]:
+        """``label_lists(graph, weights, ...)``, paying only for what
+        changed since the previous update."""
+        graph = self.graph
+        previous, self._weights = self._weights, weights
+        if previous is None:
+            self._lists = label_lists(graph, weights, self.phi, self.setup,
+                                      self.hold, self.hold_at_outputs)
+            self._fanout = np.where(weights > 0, -1,
+                                    graph.edge_arrays()[1]).tolist()
+            return self._lists
+        changed = np.flatnonzero(weights != previous)
+        if changed.size:
+            tails, heads, _ = graph.edge_arrays()
+            fanout = self._fanout
+            for eidx, w, v in zip(changed.tolist(),
+                                  weights[changed].tolist(),
+                                  heads[changed].tolist()):
+                fanout[eidx] = -1 if w > 0 else v
+            self._relabel(set(tails[changed].tolist()) - {0})
+        return self._lists
+
+    def _relabel(self, pending: set[int]) -> None:
+        """Recompute ``pending`` vertices until no label moves."""
+        graph = self.graph
+        out_edges = graph.out_edges
+        in_edges = graph.in_edges
+        delays = graph.delays
+        tails = self._tails
+        fanout = self._fanout
+        isfinite = math.isfinite
+        hold_at_outputs = self.hold_at_outputs
+        window_left = self.phi - self.setup
+        window_right = self.phi + self.hold
+        L, R, lt, rt, lsucc, rsucc = self._lists
+        queue = list(pending)
+        while queue:
+            u = queue.pop()
+            pending.discard(u)
+            Lu, Ru, ltu, rtu, lsu, rsu = math.inf, -math.inf, -1, -1, -1, -1
+            for eidx in out_edges[u]:
+                v = fanout[eidx]
+                if v <= 0:  # latched: registered edge or primary output
+                    if window_left < Lu:
+                        Lu, ltu, lsu = window_left, u, -1
+                    if (v < 0 or hold_at_outputs) and window_right > Ru:
+                        Ru, rtu, rsu = window_right, u, -1
+                elif isfinite(L[v]):  # else the fanout is unobservable
+                    left = L[v] - delays[v]
+                    right = R[v] - delays[v]
+                    if left < Lu:
+                        Lu, ltu, lsu = left, lt[v], v
+                    if right > Ru:
+                        Ru, rtu, rsu = right, rt[v], v
+            lsucc[u] = lsu
+            rsucc[u] = rsu
+            if Lu == L[u] and Ru == R[u] and ltu == lt[u] and rtu == rt[u]:
+                continue
+            L[u], R[u], lt[u], rt[u] = Lu, Ru, ltu, rtu
+            for eidx in in_edges[u]:
+                if fanout[eidx] == u:  # register-free edge into u
+                    p = tails[eidx]
+                    if p and p not in pending:
+                        pending.add(p)
+                        queue.append(p)
+
+
 def shortest_path_through(graph: RetimingGraph, labels: BoundaryLabels,
                           v: int) -> float:
     """Shortest register-to-register path through register-fanout gate ``v``.

@@ -28,7 +28,8 @@ import numpy as np
 from ..errors import InfeasibleError
 from ..core.constraints import Problem
 from ..graph.retiming_graph import RetimingGraph
-from ..graph.timing import boundary_labels
+from ..graph.timing import IncrementalLabels, boundary_labels
+from ..telemetry import spans as telemetry
 from .minperiod import feasible_retiming, min_period_retiming
 
 
@@ -68,9 +69,7 @@ def repair_constraints(problem: Problem, r: np.ndarray,
 
     Repeatedly takes the first violated constraint of ``problem`` under
     ``r`` and applies its prescribed fix (the dragged vertex moves
-    forward by the deficit).  Returns a feasible retiming or None when a
-    violation is unfixable (registers would cross a primary output) or
-    the step budget runs out.
+    forward by the deficit).
 
     With ``allow_backward=True`` (used by the Lin-Zhou style hold
     search, *not* by the maximal-start computation, whose optimality
@@ -78,6 +77,26 @@ def repair_constraints(problem: Problem, r: np.ndarray,
     the primary inputs is rolled back and the offending shortest-path
     violation is fixed the other way: the launching register moves
     backward (possibly onto a primary-input edge, which is legal).
+
+    A walk ends in one of four ways, reported as the ``exit`` of one
+    ``repair.walk`` trace event:
+
+    * ``converged``: no violation is left; the feasible retiming is
+      returned;
+    * ``unfixable``: a violation would push registers past a primary
+      output and no backward fix or rollback applies; None;
+    * ``cycle``: a deterministic walk (``rng`` None) is back at a loop
+      state ``(r, checkpoint, checkpoint edge)`` it has been in before;
+      None;
+    * ``budget``: ``max_steps`` violation checks ran out; None.
+
+    The cycle exit is exact.  Without ``rng`` the next loop state is a
+    function of the current one, so a repeated state means the walk
+    repeats the same steps forever and would return None at the budget.
+    Brent's algorithm compares states byte for byte against one saved
+    state, which finds the repeat within a few cycle lengths in O(|V|)
+    memory.  A randomized walk draws from ``rng`` at every step, so a
+    repeated ``r`` proves nothing there and only the budget ends it.
     """
     from ..core.constraints import find_violations
 
@@ -85,12 +104,23 @@ def repair_constraints(problem: Problem, r: np.ndarray,
     r = np.asarray(r, dtype=np.int64).copy()
     if max_steps is None:
         max_steps = 40 * graph.n_vertices + 200
+    labels = IncrementalLabels(graph, problem.phi, problem.setup,
+                               problem.hold, problem.hold_at_outputs)
+    cycle = _Brent() if rng is None else None
     checkpoint: np.ndarray | None = None
-    checkpoint_violation = None
-    for _ in range(max_steps):
-        violations = find_violations(problem, r)
+    checkpoint_edge: int | None = None
+    result, exit_, steps = None, "budget", 0
+    while steps < max_steps:
+        if cycle is not None and cycle.repeats(
+                (r.tobytes(), None if checkpoint is None
+                 else checkpoint.tobytes(), checkpoint_edge)):
+            exit_ = "cycle"
+            break
+        steps += 1
+        violations = find_violations(problem, r, labels=labels)
         if not violations:
-            return r
+            result, exit_ = r, "converged"
+            break
         if rng is not None:
             pick = int(rng.integers(0, len(violations)))
             violations = [violations[pick]]
@@ -108,7 +138,7 @@ def repair_constraints(problem: Problem, r: np.ndarray,
                         r = fixed
                         continue
                 checkpoint = r.copy()
-                checkpoint_violation = violations[0]
+                checkpoint_edge = violations[0].edge
             needed: dict[int, int] = {}
             for violation in violations:
                 needed[violation.q] = max(needed.get(violation.q, 0),
@@ -129,13 +159,38 @@ def repair_constraints(problem: Problem, r: np.ndarray,
             # that fix backward from the checkpoint.
             r = checkpoint
             checkpoint = None
-            fixed = _backward_fix(graph, r, checkpoint_violation.edge)
+            fixed = _backward_fix(graph, r, checkpoint_edge)
             if fixed is not None:
                 r = fixed
-                checkpoint_violation = None
+                checkpoint_edge = None
                 continue
-        return None
-    return None
+        exit_ = "unfixable"
+        break
+    telemetry.event("repair.walk", exit=exit_, steps=steps,
+                    randomized=rng is not None)
+    return result
+
+
+class _Brent:
+    """Brent's cycle detection over a stream of states: each state is
+    compared exactly with one saved state, which is replaced after 2, 4,
+    8, ... further states."""
+
+    def __init__(self) -> None:
+        self._saved: object = None
+        self._power = 1
+        self._length = 1
+
+    def repeats(self, state: object) -> bool:
+        """True when ``state`` equals the saved state."""
+        if state == self._saved:
+            return True
+        if self._length == self._power:
+            self._saved = state
+            self._power *= 2
+            self._length = 0
+        self._length += 1
+        return False
 
 
 def _backward_fix(graph, r: np.ndarray, edge_index: int,

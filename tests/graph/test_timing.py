@@ -11,10 +11,12 @@ from repro.errors import InfeasibleError, RetimingError
 from repro.graph.retiming_graph import RetimingGraph
 from repro.graph.timing import (
     BoundaryLabels,
+    IncrementalLabels,
     TimingAnalysis,
     achieved_period,
     arrival_times,
     boundary_labels,
+    label_lists,
     shortest_path_through,
 )
 from tests.conftest import tiny_random
@@ -479,3 +481,71 @@ class TestListNativeTimingOracle:
                 fn(r)
         with pytest.raises(RetimingError):
             reference_zero_weight_topo(g, r)
+
+
+class TestIncrementalLabelsOracle:
+    """The label maintainer equals the full :func:`label_lists` pass
+    after every update, however the retiming wanders in between."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 200),
+           hold_at_outputs=st.booleans(),
+           phi_scale=st.sampled_from((0.7, 1.0, 1.3)),
+           edits=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.integers(-2, 2), st.booleans()),
+                          min_size=1, max_size=60))
+    def test_every_update_equals_full_pass(self, seed, hold_at_outputs,
+                                           phi_scale, edits):
+        g = RetimingGraph.from_circuit(tiny_random(seed, n_gates=12,
+                                                   n_dffs=5))
+        r = g.zero_retiming()
+        phi = phi_scale * achieved_period(g, r, 0.5)
+        labels = IncrementalLabels(g, phi, 0.5, 2.0, hold_at_outputs)
+        history = [r.copy()]
+        labels.update(g.retimed_weights(r))
+        updates = 1
+        for pick, step, jump in edits:
+            if jump:
+                # Back to an earlier state (a checkpoint rollback).
+                r = history[pick % len(history)].copy()
+            else:
+                r[1 + pick % (g.n_vertices - 1)] += step
+            history.append(r.copy())
+            weights = g.retimed_weights(r)
+            if weights.min() < 0:
+                continue  # P0-invalid: the walk skips the label update
+            got = labels.update(weights)
+            want = label_lists(g, weights, phi, 0.5, 2.0, hold_at_outputs)
+            for field, a, b in zip(("L", "R", "lt", "rt", "lsucc",
+                                    "rsucc"), got, want):
+                assert a == b, (field, updates)
+            updates += 1
+
+    def test_walk_through_invalid_states_on_corpus(self, small_tier_graphs):
+        """Seeded walks on every small-tier circuit: random moves that
+        may leave P0, and a jump back to the last valid state after three
+        invalid ones; every valid state is compared."""
+        rng = np.random.default_rng(16)
+        for name, g in small_tier_graphs.items():
+            for hold_at_outputs in (True, False):
+                r = random_valid_retiming(g, rng, g.n_vertices)
+                phi = achieved_period(g, r)
+                labels = IncrementalLabels(g, phi, 0.0, 2.0,
+                                           hold_at_outputs)
+                last_valid, streak = r.copy(), 0
+                invalid = valid = 0
+                for _ in range(4 * g.n_vertices):
+                    if streak == 3:
+                        r, streak = last_valid.copy(), 0
+                    r[int(rng.integers(1, g.n_vertices))] += \
+                        int(rng.choice((-1, 1)))
+                    weights = g.retimed_weights(r)
+                    if weights.min() < 0:
+                        invalid += 1
+                        streak += 1
+                        continue
+                    valid += 1
+                    last_valid, streak = r.copy(), 0
+                    assert labels.update(weights) == label_lists(
+                        g, weights, phi, 0.0, 2.0, hold_at_outputs), name
+                assert invalid and valid > 1, name
