@@ -257,19 +257,21 @@ class TestRepairWalk:
         randomized walks alike."""
         path = tmp_path / "trace.jsonl"
         tracer = telemetry.Tracer(path)
-        with telemetry.installed(tracer):
-            for seed in range(8):
-                g = RetimingGraph.from_circuit(tiny_random(
-                    seed, n_gates=16, n_dffs=8))
-                phi_min, _ = min_period_retiming(g)
-                problem, start = hold_probe(g, phi_min, hold=4.0)
-                for allow_backward in (False, True):
-                    for prefer_backward in (False, True):
-                        for rng_seed in (None, 0):
-                            assert_same_walk(problem, start, None,
-                                             allow_backward,
-                                             prefer_backward, rng_seed)
-        tracer.close()
+        try:
+            with telemetry.installed(tracer):
+                for seed in range(8):
+                    g = RetimingGraph.from_circuit(tiny_random(
+                        seed, n_gates=16, n_dffs=8))
+                    phi_min, _ = min_period_retiming(g)
+                    problem, start = hold_probe(g, phi_min, hold=4.0)
+                    for allow_backward in (False, True):
+                        for prefer_backward in (False, True):
+                            for rng_seed in (None, 0):
+                                assert_same_walk(problem, start, None,
+                                                 allow_backward,
+                                                 prefer_backward, rng_seed)
+        finally:
+            tracer.close()
         exits = {(e["attrs"]["exit"], e["attrs"]["randomized"])
                  for e in load_trace(path).events}
         assert {("converged", False), ("unfixable", False),
@@ -279,10 +281,12 @@ class TestRepairWalk:
         circuit, graph, _ = pipe_b
         path = tmp_path / "trace.jsonl"
         tracer = telemetry.Tracer(path)
-        with telemetry.installed(tracer):
-            initialize(graph, circuit.library.setup_time,
-                       circuit.library.hold_time)
-        tracer.close()
+        try:
+            with telemetry.installed(tracer):
+                initialize(graph, circuit.library.setup_time,
+                           circuit.library.hold_time)
+        finally:
+            tracer.close()
         walks = [e["attrs"] for e in load_trace(path).events
                  if e["name"] == "repair.walk"]
         assert walks
