@@ -21,11 +21,11 @@ import numpy as np
 from repro import Problem, gains
 from repro.circuits import figure1_circuit
 from repro.core.elw import circuit_elws
-from repro.core.initialization import min_register_path
 from repro.core.constraints import register_observability
 from repro.core.minobs import minobs_retiming
 from repro.core.minobswin import minobswin_retiming
 from repro.graph.retiming_graph import RetimingGraph
+from repro.graph.timing import min_register_path
 from repro.pipeline import rebuild_retimed
 from repro.ser.analysis import analyze_ser
 from repro.sim.odc import observability

@@ -39,7 +39,8 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..graph.retiming_graph import RetimingGraph
-from ..graph.timing import IncrementalLabels, critical_path, label_lists
+from ..graph.timing import (IncrementalLabels, critical_path, label_lists,
+                            short_register_paths)
 
 
 @dataclass(frozen=True)
@@ -242,27 +243,15 @@ def _check_p2(problem: Problem, weights: np.ndarray, R: list[float],
               rsucc: list[int], delta: np.ndarray | None,
               limit: int | None) -> list[Violation]:
     graph = problem.graph
-    u_arr, v_arr, _ = graph.edge_arrays()
-    registered = np.flatnonzero((weights > 0) & (v_arr != 0))
-    if not registered.size:
-        return []
     out_edges = graph.out_edges
-    delays = graph.delays
     names = graph.names
-    isfinite = math.isfinite
-    window = problem.phi + problem.hold
-    bound = problem.rmin - problem.eps
     w_list: list[int] | None = None
 
     out: list[Violation] = []
     seen_targets: set[tuple[int, int]] = set()
-    for eidx, u, v in zip(registered.tolist(), u_arr[registered].tolist(),
-                          v_arr[registered].tolist()):
-        if not isfinite(R[v]):
-            continue
-        sp_v = delays[v] + (window - R[v])
-        if not sp_v < bound:
-            continue
+    for eidx, u, v, sp_v in short_register_paths(
+            graph, weights, R, problem.phi, problem.hold,
+            problem.rmin - problem.eps):
         if w_list is None:
             w_list = weights.tolist()
         # Critical shortest path v -> ... -> z; its terminal register

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..graph.retiming_graph import RetimingGraph
-from ..graph.timing import boundary_labels
+from ..graph.timing import min_register_path
 from .constraints import Problem, check_constraints
 
 
@@ -62,28 +62,6 @@ class InitialRetiming:
     rmin: float
     phi_base: float
     used_fallback: bool
-
-
-def min_register_path(graph: RetimingGraph, r: np.ndarray, phi: float,
-                      setup: float, hold: float) -> float:
-    """Minimal register-to-register path length under retiming ``r``.
-
-    Measured through each registered edge's fanout gate:
-    ``d(v) + (phi + T_h - R(v))``; ``+inf`` when no internal registered
-    edge exists.
-    """
-    labels = boundary_labels(graph, r, phi, setup, hold)
-    weights = graph.retimed_weights(r)
-    shortest = math.inf
-    for eidx, w in enumerate(weights):
-        if w <= 0:
-            continue
-        v = graph.edges[eidx].v
-        if v == 0 or not math.isfinite(labels.R[v]):
-            continue
-        sp = graph.delays[v] + (phi + hold - float(labels.R[v]))
-        shortest = min(shortest, sp)
-    return shortest
 
 
 def initialize(graph: RetimingGraph, setup: float = 0.0, hold: float = 2.0,

@@ -2,12 +2,10 @@
 
 from .retiming_graph import HOST, Edge, RetimingGraph
 from .timing import (
-    BoundaryLabels,
-    TimingAnalysis,
     achieved_period,
     arrival_times,
-    boundary_labels,
-    shortest_path_through,
+    label_lists,
+    min_register_path,
 )
 from .paths import exact_min_period, wd_matrices
 
@@ -15,12 +13,10 @@ __all__ = [
     "HOST",
     "Edge",
     "RetimingGraph",
-    "BoundaryLabels",
-    "TimingAnalysis",
     "achieved_period",
     "arrival_times",
-    "boundary_labels",
-    "shortest_path_through",
+    "label_lists",
+    "min_register_path",
     "exact_min_period",
     "wd_matrices",
 ]

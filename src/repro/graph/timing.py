@@ -13,13 +13,16 @@ Alongside ``L``/``R`` the critical-path terminals ``lt(v)``/``rt(v)`` of
 Sec. IV-A are recorded: the last gate on the critical longest / shortest
 path starting at ``v``, needed to diagnose P1'/P2' violations into active
 constraints.
+
+The shortest-path labels also give the minimal register-to-register path
+(:func:`min_register_path`), the one quantity behind P2', R_min (Sec. V)
+and the Lin-Zhou hold check.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -62,53 +65,6 @@ def achieved_period(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
     return float(delta.max()) + setup if len(delta) else setup
 
 
-@dataclass
-class BoundaryLabels:
-    """The L/R boundary labels of eq. (6) plus critical-path terminals.
-
-    Attributes
-    ----------
-    L, R:
-        Outer ELW boundaries at each vertex output.  Unobservable vertices
-        (no path to a register or primary output) get ``L = +inf`` and
-        ``R = -inf`` (an empty window).
-    lt, rt:
-        Index of the last gate on the critical longest (resp. shortest)
-        path starting at each vertex; ``-1`` for unobservable vertices.
-        ``lt(v) == v`` when the critical path is the direct latch at ``v``'s
-        own registered fanout edge.
-    lsucc, rsucc:
-        Next gate on the critical longest (resp. shortest) path from each
-        vertex; ``-1`` when the vertex is itself the terminal (or
-        unobservable).  Following ``rsucc`` from ``v`` walks the critical
-        shortest path ``v -> ... -> rt(v)``.
-    phi, setup, hold:
-        The clock parameters the labels were computed with.
-    """
-
-    L: np.ndarray
-    R: np.ndarray
-    lt: np.ndarray
-    rt: np.ndarray
-    lsucc: np.ndarray
-    rsucc: np.ndarray
-    phi: float
-    setup: float
-    hold: float
-
-    def shortest_path_vertices(self, v: int) -> list[int]:
-        """Vertices of the critical shortest path ``v -> ... -> rt(v)``."""
-        return critical_path(self.rsucc, v)
-
-    def longest_path_vertices(self, v: int) -> list[int]:
-        """Vertices of the critical longest path ``v -> ... -> lt(v)``."""
-        return critical_path(self.lsucc, v)
-
-    def observable(self) -> np.ndarray:
-        """Boolean mask of vertices with a non-empty latching window."""
-        return np.isfinite(self.L)
-
-
 def critical_path(succ: Sequence[int] | np.ndarray, v: int) -> list[int]:
     """The path ``v -> succ[v] -> ...`` up to the vertex whose successor
     is ``-1``: a critical path when ``succ`` is ``lsucc`` or ``rsucc``."""
@@ -119,11 +75,12 @@ def critical_path(succ: Sequence[int] | np.ndarray, v: int) -> list[int]:
     return path
 
 
-def boundary_labels(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
-                    phi: float, setup: float = 0.0,
-                    hold: float = 2.0,
-                    hold_at_outputs: bool = True) -> BoundaryLabels:
-    """Compute eq. (6)'s ``L``/``R`` labels under retiming ``r``.
+def label_lists(graph: RetimingGraph, weights: np.ndarray, phi: float,
+                setup: float, hold: float, hold_at_outputs: bool,
+                ) -> tuple[list[float], list[float], list[int], list[int],
+                           list[int], list[int]]:
+    """Eq. (6)'s boundary labels ``(L, R, lt, rt, lsucc, rsucc)`` under
+    the retimed edge weights ``w_r``, as plain lists.
 
     Contributions per fanout edge ``(u, v)``:
 
@@ -133,35 +90,23 @@ def boundary_labels(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
     * register-free edge to gate ``v``: ``(L(v) - d(v), R(v) - d(v))``.
 
     ``L(u)`` is the minimum and ``R(u)`` the maximum over contributions,
-    i.e. the tight outer boundaries asserted by Theorem 1.
+    i.e. the tight outer boundaries asserted by Theorem 1.  Unobservable
+    vertices (no path to a register or primary output) get ``L = +inf``
+    and ``R = -inf`` (an empty window).  ``lt``/``rt`` hold the last gate
+    on the critical longest / shortest path starting at each vertex
+    (``-1`` when unobservable; ``lt(v) == v`` for a direct latch), and
+    ``lsucc``/``rsucc`` the next gate on it (``-1`` at the terminal), so
+    :func:`critical_path` walks it.
 
     ``hold_at_outputs=False`` removes the *R-side* contribution of
     register-free edges into the host: primary outputs then count as
     latch points for setup (L) and ELWs but not as capture points for
-    shortest-path / hold analysis (used by the Lin-Zhou style
-    initialization, where hold constrains register-to-register paths
-    only; the paper's P2' keeps the default True).
-    """
-    L, R, lt, rt, lsucc, rsucc = label_lists(
-        graph, graph.retimed_weights(r), phi, setup, hold, hold_at_outputs)
-    return BoundaryLabels(
-        L=np.array(L, dtype=float), R=np.array(R, dtype=float),
-        lt=np.array(lt, dtype=np.int64), rt=np.array(rt, dtype=np.int64),
-        lsucc=np.array(lsucc, dtype=np.int64),
-        rsucc=np.array(rsucc, dtype=np.int64),
-        phi=phi, setup=setup, hold=hold)
-
-
-def label_lists(graph: RetimingGraph, weights: np.ndarray, phi: float,
-                setup: float, hold: float, hold_at_outputs: bool,
-                ) -> tuple[list[float], list[float], list[int], list[int],
-                           list[int], list[int]]:
-    """:func:`boundary_labels` as plain lists ``(L, R, lt, rt, lsucc,
-    rsucc)``, from the retimed edge weights ``w_r``.
+    shortest-path / hold analysis (the Lin-Zhou style initialization,
+    where hold constrains register-to-register paths only; the paper's
+    P2' keeps True).
 
     One O(|V| + |E|) pass in reverse topological order over the
-    zero-weight subgraph; the constraint checker consumes the lists
-    directly.
+    zero-weight subgraph.
     """
     order = graph.zero_weight_order(weights)
     # Per edge: -1 when registered, else its sink (0 = primary output).
@@ -307,47 +252,55 @@ class IncrementalLabels:
                         queue.append(p)
 
 
-def shortest_path_through(graph: RetimingGraph, labels: BoundaryLabels,
-                          v: int) -> float:
-    """Shortest register-to-register path through register-fanout gate ``v``.
+def short_register_paths(graph: RetimingGraph, weights: np.ndarray,
+                         R: Sequence[float], phi: float, hold: float,
+                         bound: float,
+                         ) -> Iterator[tuple[int, int, int, float]]:
+    """Register-to-register paths shorter than ``bound``, one per
+    registered internal edge.
 
-    For a registered edge ``(u, v)`` the data launched by the register
-    travels through ``v`` and reaches the next latching point after at
-    least ``d(v) + (phi + T_h - R(v))`` time (Sec. III-C).  This is the
-    quantity constrained by P2'; ``+inf`` when ``v`` is unobservable.
+    Yields ``(eidx, u, v, length)`` in edge order for each edge
+    ``(u, v)`` with ``w_r > 0`` and ``v`` a gate whose shortest path
+    ``d(v) + (phi + T_h - R(v))`` (Sec. III-C) is below ``bound``.
+    ``R`` must come from :func:`label_lists` at the same ``weights``,
+    ``phi`` and ``hold``; see :func:`min_register_path` for the model.
     """
-    if not math.isfinite(labels.R[v]):
-        return math.inf
-    return graph.delays[v] + (labels.phi + labels.hold - float(labels.R[v]))
+    u_arr, v_arr, _ = graph.edge_arrays()
+    registered = np.flatnonzero((weights > 0) & (v_arr != 0))
+    delays = graph.delays
+    isfinite = math.isfinite
+    window = phi + hold
+    for eidx, u, v in zip(registered.tolist(), u_arr[registered].tolist(),
+                          v_arr[registered].tolist()):
+        if isfinite(R[v]):
+            length = delays[v] + (window - R[v])
+            if length < bound:
+                yield eidx, u, v, length
 
 
-class TimingAnalysis:
-    """Cached timing view of ``(graph, r)`` for one clock configuration.
+def min_register_path(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
+                      phi: float, setup: float, hold: float,
+                      hold_at_outputs: bool = True) -> float:
+    """Minimal register-to-register path length under retiming ``r``.
 
-    Bundles arrival times and boundary labels; used by the constraint
-    checker and the SER engine so each algorithm iteration runs exactly one
-    O(|E|) timing pass.
+    The quantity P2' bounds from below by R_min (Sec. III-C), Sec. V
+    picks R_min from, and the Lin-Zhou hold condition requires to be at
+    least ``T_h``.  The model:
+
+    * a path is launched by a registered edge ``(u, v)`` into a gate
+      ``v`` -- registered primary-input edges (``u`` the host) count --
+      and runs through ``v`` along register-free edges to the next latch
+      point; its length is the summed gate delay, ``v`` included;
+    * a registered edge is a latch point, and so is a register-free edge
+      into a primary output when ``hold_at_outputs`` is set (the paper's
+      P2'); without it primary outputs capture for setup only;
+    * a chain of ``w_r >= 2`` registers on one internal edge is a
+      zero-delay register-to-register path, but is *not* counted: every
+      path is measured through a fanout gate.
+
+    ``+inf`` when no registered edge reaches a latch point.
     """
-
-    def __init__(self, graph: RetimingGraph, r: Sequence[int] | np.ndarray,
-                 phi: float, setup: float = 0.0, hold: float = 2.0):
-        self.graph = graph
-        self.r = np.asarray(r, dtype=np.int64).copy()
-        self.phi = phi
-        self.setup = setup
-        self.hold = hold
-        self.weights = graph.retimed_weights(self.r)
-        self.delta = arrival_times(graph, self.r)
-        self.labels = boundary_labels(graph, self.r, phi, setup, hold)
-
-    def setup_ok(self) -> bool:
-        """True when every combinational path meets setup at ``phi``."""
-        return bool(self.delta.max() <= self.phi - self.setup + 1e-9) \
-            if len(self.delta) else True
-
-    def elw_bound(self, v: int) -> float:
-        """``R(v) - L(v)``: the paper's upper bound on ``|ELW(v)|``."""
-        L, R = self.labels.L[v], self.labels.R[v]
-        if not math.isfinite(L):
-            return 0.0
-        return float(R - L)
+    weights = graph.retimed_weights(r)
+    R = label_lists(graph, weights, phi, setup, hold, hold_at_outputs)[1]
+    return min((length for _, _, _, length in short_register_paths(
+        graph, weights, R, phi, hold, math.inf)), default=math.inf)

@@ -12,7 +12,7 @@
 """
 
 from .minperiod import feasible_retiming, min_period_retiming
-from .setup_hold import hold_slack, min_period_setup_hold, repair_constraints
+from .setup_hold import min_period_setup_hold, repair_constraints
 from .minarea import min_area_retiming
 from .apply import apply_retiming
 from .cslow import c_slow, check_cslow_equivalence
@@ -25,7 +25,6 @@ from .verify import (
 __all__ = [
     "feasible_retiming",
     "min_period_retiming",
-    "hold_slack",
     "min_period_setup_hold",
     "repair_constraints",
     "min_area_retiming",

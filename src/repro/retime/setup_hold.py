@@ -7,7 +7,8 @@ min-period retiming when no hold-feasible retiming exists (reconvergent
 paths).  This module reimplements that capability:
 
 * the hold condition: every register-to-register combinational path is at
-  least ``T_h`` long (independent of the clock period);
+  least ``T_h`` long (independent of the clock period), i.e.
+  ``min_register_path(..., hold_at_outputs=False) >= T_h``;
 * a constraint-repair loop shared with the Problem 1 checker turns
   setup-feasible retimings into setup+hold-feasible ones by forced
   register motion;
@@ -21,42 +22,14 @@ only makes us take the paper's own documented fallback path (Phi_min with
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import InfeasibleError
-from ..core.constraints import Problem
+from ..core.constraints import Problem, find_violations
 from ..graph.retiming_graph import RetimingGraph
-from ..graph.timing import IncrementalLabels, boundary_labels
+from ..graph.timing import IncrementalLabels, min_register_path
 from ..telemetry import spans as telemetry
 from .minperiod import feasible_retiming, min_period_retiming
-
-
-def hold_slack(graph: RetimingGraph, r: np.ndarray, hold: float,
-               setup: float = 0.0) -> float:
-    """Shortest register-to-register path minus ``T_h`` (can be +inf).
-
-    Positive slack means every launched value survives the hold window of
-    the capturing register.  Register-to-register paths are measured
-    through the launched register's fanout gate: ``d(v) + (shortest path
-    from v's output to the next latch point)``.
-    """
-    # Any phi works: the shortest-path part of R is period-independent.
-    phi = float(np.asarray(graph.delays).sum()) + setup + hold + 1.0
-    labels = boundary_labels(graph, r, phi, setup, hold,
-                             hold_at_outputs=False)
-    weights = graph.retimed_weights(r)
-    shortest = math.inf
-    for eidx, w in enumerate(weights):
-        if w <= 0:
-            continue
-        v = graph.edges[eidx].v
-        if v == 0 or not math.isfinite(labels.R[v]):
-            continue
-        sp = graph.delays[v] + (phi + hold - float(labels.R[v]))
-        shortest = min(shortest, sp)
-    return shortest - hold
 
 
 def repair_constraints(problem: Problem, r: np.ndarray,
@@ -98,8 +71,6 @@ def repair_constraints(problem: Problem, r: np.ndarray,
     memory.  A randomized walk draws from ``rng`` at every step, so a
     repeated ``r`` proves nothing there and only the budget ends it.
     """
-    from ..core.constraints import find_violations
-
     graph = problem.graph
     r = np.asarray(r, dtype=np.int64).copy()
     if max_steps is None:
@@ -307,9 +278,6 @@ def best_effort_hold(graph, phi: float, setup: float, hold: float,
     is always P0/P1-feasible at ``phi``; its own minimal path then
     becomes R_min, giving P2' as much bite as the circuit allows.
     """
-    from ..core.constraints import Problem, find_violations
-    from ..core.initialization import min_register_path
-
     problem = Problem(graph=graph, phi=phi, setup=setup, hold=hold,
                       rmin=hold, b=np.zeros(graph.n_vertices,
                                             dtype=np.int64),

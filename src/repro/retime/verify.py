@@ -190,11 +190,14 @@ def forward_initial_states(circuit: Circuit, graph: RetimingGraph,
 
 def check_sequential_equivalence(first: Circuit, second: Circuit,
                                  cycles: int = 32, n_patterns: int = 128,
-                                 seed: int = 0) -> tuple[bool, int]:
+                                 seed: int = 0, flush: int = 0,
+                                 ) -> tuple[bool, int]:
     """Co-simulate two circuits on one random input trace.
 
     The circuits must have identical primary-input names and equally many
-    primary outputs (compared positionally).  Returns ``(equal,
+    primary outputs (compared positionally); :class:`SimulationError`
+    otherwise.  Runs ``flush + cycles`` cycles and ignores mismatches in
+    the first ``flush`` (a warm-up transient).  Returns ``(equal,
     first_bad_cycle)`` with ``first_bad_cycle == -1`` when equal.
     """
     if set(first.inputs) != set(second.inputs):
@@ -204,10 +207,12 @@ def check_sequential_equivalence(first: Circuit, second: Circuit,
     rng = np.random.default_rng(seed)
     sim1 = SequentialSimulator(first, n_patterns)
     sim2 = SequentialSimulator(second, n_patterns)
-    for cycle in range(cycles):
+    for cycle in range(flush + cycles):
         pis = {net: random_patterns(n_patterns, rng) for net in first.inputs}
         nets1 = sim1.step(pis)
         nets2 = sim2.step(pis)
+        if cycle < flush:
+            continue
         for po1, po2 in zip(first.outputs, second.outputs):
             if popcount(nets1[po1] ^ nets2[po2]):
                 return False, cycle

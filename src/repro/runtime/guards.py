@@ -30,13 +30,11 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import VerificationError
+from ..errors import SimulationError, VerificationError
 from ..graph.retiming_graph import RetimingGraph
 from ..graph.timing import achieved_period
 from ..netlist.circuit import Circuit
-from ..retime.verify import check_cycle_weights
-from ..sim.bitvec import popcount, random_patterns
-from ..sim.sequential import SequentialSimulator
+from ..retime.verify import check_cycle_weights, check_sequential_equivalence
 
 
 @dataclass
@@ -187,9 +185,12 @@ def verify_retimed(original: Circuit, retimed: Circuit,
             bound = min(FLUSH_CAP, max(2 * bound, 4))
             schedule.append(bound)
     for flush_cycles in schedule:
-        sequential_ok, bad_cycle = _cosimulate(
-            original, retimed, flush=int(flush_cycles),
-            cycles=check_cycles, n_patterns=n_patterns, seed=seed)
+        try:
+            sequential_ok, bad_cycle = check_sequential_equivalence(
+                original, retimed, cycles=check_cycles,
+                n_patterns=n_patterns, seed=seed, flush=int(flush_cycles))
+        except SimulationError:  # mismatched interfaces
+            sequential_ok, bad_cycle = False, 0
         if sequential_ok:
             break
     report.flush_cycles = int(flush_cycles)
@@ -208,24 +209,3 @@ def verify_retimed(original: Circuit, retimed: Circuit,
     report.ok = all(report.checks.values())
     return report
 
-
-def _cosimulate(first: Circuit, second: Circuit, flush: int, cycles: int,
-                n_patterns: int, seed: int) -> tuple[bool, int]:
-    """Shared-trace co-simulation; mismatches inside ``flush`` are ignored."""
-    if set(first.inputs) != set(second.inputs) or \
-            len(first.outputs) != len(second.outputs):
-        return False, 0
-    rng = np.random.default_rng(seed)
-    sim1 = SequentialSimulator(first, n_patterns)
-    sim2 = SequentialSimulator(second, n_patterns)
-    for cycle in range(flush + cycles):
-        pis = {net: random_patterns(n_patterns, rng)
-               for net in first.inputs}
-        nets1 = sim1.step(pis)
-        nets2 = sim2.step(pis)
-        if cycle < flush:
-            continue
-        for po1, po2 in zip(first.outputs, second.outputs):
-            if popcount(nets1[po1] ^ nets2[po2]):
-                return False, cycle
-    return True, -1

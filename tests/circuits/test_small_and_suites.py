@@ -35,7 +35,7 @@ class TestSmallCircuits:
         """The full Fig. 1 story: MinObs merges and SER worsens;
         MinObsWin's P2' refuses and SER is preserved."""
         from repro.core.constraints import Problem, gains
-        from repro.core.initialization import min_register_path
+        from repro.graph.timing import min_register_path
         from repro.core.minobs import minobs_retiming
         from repro.core.minobswin import minobswin_retiming
         from repro.pipeline import rebuild_retimed

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import Problem, check_constraints
-from repro.core.initialization import (
-    initialize,
-    maximal_feasible_retiming,
-    min_register_path,
-)
+from repro.core.initialization import initialize, maximal_feasible_retiming
 from repro.graph.retiming_graph import RetimingGraph
-from repro.graph.timing import achieved_period
+from repro.graph.timing import achieved_period, min_register_path
 from tests.conftest import tiny_random
 
 

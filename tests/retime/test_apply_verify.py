@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import RetimingError, SimulationError
 from repro.graph.retiming_graph import RetimingGraph
-from repro.netlist import Circuit, validate_circuit
+from repro.netlist import Circuit, loads_bench, validate_circuit
 from repro.pipeline import rebuild_retimed
 from repro.retime.apply import apply_retiming
 from repro.retime.minperiod import min_period_retiming
@@ -120,8 +120,30 @@ class TestVerifyHelpers:
 
     def test_equivalence_rejects_different_inputs(self, tiny_circuit,
                                                   correlator):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="primary inputs"):
             check_sequential_equivalence(tiny_circuit, correlator)
+
+    def test_equivalence_rejects_different_output_counts(
+            self, tiny_bench_text, tiny_circuit):
+        extra = loads_bench(tiny_bench_text + "OUTPUT(g1)\n", "extra")
+        with pytest.raises(SimulationError, match="output counts"):
+            check_sequential_equivalence(tiny_circuit, extra)
+
+    def test_flush_window_ignores_a_warm_up_transient(self, tiny_circuit):
+        # s1 = a AND s1: from init 1 it falls to 0 (the init-0 trace) on
+        # the first a = 0, so the two circuits differ only while warming
+        # up, and s1 is a primary output.
+        warm = tiny_circuit.copy("warm")
+        warm.dffs["s1"].init = 1
+        equal, cycle = check_sequential_equivalence(
+            tiny_circuit, warm, cycles=8, n_patterns=64)
+        assert (equal, cycle) == (False, 0)
+        equal, cycle = check_sequential_equivalence(
+            tiny_circuit, warm, cycles=8, n_patterns=64, flush=32)
+        assert (equal, cycle) == (True, -1)
+        equal, cycle = check_sequential_equivalence(
+            tiny_circuit, warm, cycles=8, n_patterns=64, flush=2)
+        assert not equal and cycle >= 2  # cycles count from reset
 
     def test_equivalence_detects_difference(self, tiny_circuit):
         mutated = tiny_circuit.copy("mutated")

@@ -142,16 +142,16 @@ class TestFlushWindow:
         retiming: the guard escalates the window before failing."""
         from repro.runtime import guards as guards_mod
 
-        real = guards_mod._cosimulate
+        real = guards_mod.check_sequential_equivalence
 
-        def slow_transient(first, second, flush, cycles, n_patterns,
-                           seed):
+        def slow_transient(first, second, cycles, n_patterns, seed, flush):
             if flush < 16:  # pretend the reset transient lasts 16 cycles
                 return False, flush
-            return real(first, second, flush=flush, cycles=cycles,
-                        n_patterns=n_patterns, seed=seed)
+            return real(first, second, cycles=cycles,
+                        n_patterns=n_patterns, seed=seed, flush=flush)
 
-        monkeypatch.setattr(guards_mod, "_cosimulate", slow_transient)
+        monkeypatch.setattr(guards_mod, "check_sequential_equivalence",
+                            slow_transient)
         circuit, retimed, graph, r, phi, _ = solved
         report = verify_retimed(circuit, retimed, graph, r, phi,
                                 setup=circuit.library.setup_time,
@@ -165,11 +165,12 @@ class TestFlushWindow:
 
         calls = []
 
-        def never_agrees(first, second, flush, cycles, n_patterns, seed):
+        def never_agrees(first, second, cycles, n_patterns, seed, flush):
             calls.append(flush)
             return False, flush
 
-        monkeypatch.setattr(guards_mod, "_cosimulate", never_agrees)
+        monkeypatch.setattr(guards_mod, "check_sequential_equivalence",
+                            never_agrees)
         circuit, retimed, graph, r, phi, _ = solved
         report = verify_retimed(circuit, retimed, graph, r, phi,
                                 exact_states=False, flush_cycles=5)
