@@ -100,7 +100,7 @@ digest.update(repr((ser.total, ser.comb, ser.reg,
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({
     "gates": circuit.n_gates, "dffs": circuit.n_dffs, "core": core,
-    "levels": len(flat.plans) if flat is not None else 0,
+    "levels": len(flat.programs) if flat is not None else 0,
     "lower_s": t0 - tl,
     "obs_s": t1 - t0, "elw_s": t2 - t1, "ser_s": t3 - t2,
     "peak_rss_mb": rss_kb / 1024.0,

@@ -20,7 +20,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import InfeasibleError
 from ..graph.paths import wd_matrices
@@ -97,6 +96,7 @@ def lp_minobs_optimum(problem: Problem,
     any starting retiming -- the spec the decrease-only solver is tested
     against when started from the pointwise-maximal feasible point.
     """
+    from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
     graph = problem.graph

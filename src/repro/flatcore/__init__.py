@@ -4,15 +4,15 @@ See ``docs/flatcore.md`` for the arena layout, the level-sweep kernel
 contract and the object-core oracle seam (:func:`flat_for`).
 """
 
-from .arena import (DIGEST_TAG, OP_CODES, FlatCircuit, GatePlan, LevelPlan,
+from .arena import (DIGEST_TAG, OP_CODES, FlatCircuit, LevelProgram,
                     flat_for, lower, validate_flat)
-from .kernels import (circuit_elws_flat, observability_flat,
+from .kernels import (circuit_elws_flat, cosim_flat, observability_flat,
                       record_frames_flat, ser_totals_flat,
                       simulate_comb_flat)
 
 __all__ = [
-    "DIGEST_TAG", "OP_CODES", "FlatCircuit", "GatePlan", "LevelPlan",
+    "DIGEST_TAG", "OP_CODES", "FlatCircuit", "LevelProgram",
     "flat_for", "lower", "validate_flat",
-    "circuit_elws_flat", "observability_flat", "record_frames_flat",
-    "ser_totals_flat", "simulate_comb_flat",
+    "circuit_elws_flat", "cosim_flat", "observability_flat",
+    "record_frames_flat", "ser_totals_flat", "simulate_comb_flat",
 ]

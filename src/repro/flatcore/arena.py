@@ -13,9 +13,10 @@ Circuit` lowered to contiguous numpy buffers:
   plus register data inputs, and ``reader`` holding the *distinct*
   gate readers of each net (the edge set the observability and ELW
   sweeps walk);
-* gates are grouped into per-topological-level ``(op, arity)`` plans so
-  the kernels in :mod:`repro.flatcore.kernels` evaluate a whole group
-  with one vectorized numpy expression.
+* every topological level is one :class:`LevelProgram` -- a padded
+  fanin matrix plus per-gate masks over one gate algebra -- so the
+  kernels in :mod:`repro.flatcore.kernels` evaluate a whole level with
+  one gathered numpy expression.
 
 Lowering is pure and deterministic: the same circuit always produces the
 same arrays, and :attr:`FlatCircuit.digest` (sha256 over the source
@@ -44,33 +45,55 @@ OP_CODES: dict[str, int] = {op: i for i, op in enumerate(SUPPORTED_OPS)}
 DIGEST_TAG = "flat-v1"
 
 
+#: The gate algebra, indexed by op code.  Every supported op is
+#: ``R(x_1 ^ m, ..., x_k ^ m) ^ o`` with per-gate masks ``m, o`` in
+#: ``{0, ~0}``: ``R`` is XOR for the XOR family and AND for the rest
+#: (OR/NOR by De Morgan, ``m = ~0``; the constants reduce only padding).
+XOR_FAMILY = np.array([op in ("XOR", "XNOR") for op in SUPPORTED_OPS])
+IN_INVERT = np.array([op in ("OR", "NOR") for op in SUPPORTED_OPS])
+OUT_INVERT = np.array([op in ("CONST0", "NOT", "NAND", "OR", "XNOR")
+                       for op in SUPPORTED_OPS])
+#: Short fanins pad with a constant row that ``^ m`` turns neutral for
+#: ``R``: all-ones under AND with ``m = 0``, all-zeros otherwise.
+PAD_ONES = ~XOR_FAMILY & ~IN_INVERT
+
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
 @dataclass
-class GatePlan:
-    """One vectorizable gate group: same level, op and arity.
+class LevelProgram:
+    """One topological level, evaluated as one gathered expression.
+
+    Gate ``i`` computes ``R(V[fanin[0, i]] ^ m_i, ..., V[fanin[-1, i]]
+    ^ m_i) ^ o_i`` over a value matrix ``V`` with
+    :attr:`FlatCircuit.n_rows` rows; ``R`` is AND for gates ``[:n_and]``
+    and XOR for the rest (the family selector).
 
     Attributes
     ----------
-    op, code, arity:
-        Shared op name / op code / fanin count of every gate in the group.
+    level:
+        The topological level (1-based).
     gates:
-        Node ids of the grouped gates (ascending).
+        ``[n]`` node ids: the AND family first, then the XOR family,
+        ascending within each.
     fanin:
-        ``[len(gates), arity]`` node-id matrix, port order preserved.
+        ``[width, n]`` row ids, port-major (one contiguous row of
+        sources per port), padded past each gate's arity with a
+        constant row (see :attr:`FlatCircuit.n_rows` and
+        :data:`PAD_ONES`).
+    n_and:
+        Number of AND-family gates.
+    in_mask, out_mask:
+        ``[n, 1]`` uint64 masks ``m`` / ``o``, or None when every entry
+        is 0.
     """
 
-    op: str
-    code: int
-    arity: int
+    level: int
     gates: np.ndarray
     fanin: np.ndarray
-
-
-@dataclass
-class LevelPlan:
-    """All gate groups of one topological level."""
-
-    level: int
-    groups: list[GatePlan]
+    n_and: int
+    in_mask: np.ndarray | None
+    out_mask: np.ndarray | None
 
 
 @dataclass
@@ -109,7 +132,7 @@ class FlatCircuit:
     # Topology.
     level: np.ndarray
     topo: np.ndarray
-    plans: list[LevelPlan]
+    programs: list[LevelProgram]
     # Kernel-private memos (sensitization plans, ELW reader lists).
     _memo: dict = field(default_factory=dict, repr=False)
     _digest: str | None = field(default=None, repr=False)
@@ -117,6 +140,13 @@ class FlatCircuit:
     @property
     def n_nodes(self) -> int:
         return self.n_inputs + self.n_gates + self.n_dffs
+
+    @property
+    def n_rows(self) -> int:
+        """Rows of a kernel value matrix: every node, then the constant
+        padding rows ``n_nodes`` (all zeros) and ``n_nodes + 1`` (all
+        ones)."""
+        return self.n_nodes + 2
 
     @property
     def n_edges(self) -> int:
@@ -314,8 +344,8 @@ def lower(circuit: Circuit) -> FlatCircuit:
     topo = np.asarray(topo_list, dtype=np.int64) \
         if n_gates else np.zeros(0, dtype=np.int64)
 
-    plans = _build_plans(op_code, arity, fanin_indptr, fanin, level,
-                         n_inputs, n_gates)
+    programs = _build_programs(op_code, arity, fanin_indptr, fanin, level,
+                               n_inputs, n_nodes)
 
     return FlatCircuit(
         source_name=circuit.name, source_digest=timing_digest(circuit),
@@ -329,7 +359,7 @@ def lower(circuit: Circuit) -> FlatCircuit:
         edge_gate=edge_gate, edge_src=edge_src,
         dff_d=dff_d, dff_init=dff_init,
         is_po=is_po, dff_read=dff_read,
-        level=level, topo=topo, plans=plans)
+        level=level, topo=topo, programs=programs)
 
 
 def flat_for(circuit: Circuit) -> FlatCircuit:
@@ -350,36 +380,58 @@ def flat_for(circuit: Circuit) -> FlatCircuit:
     return flat
 
 
-def _build_plans(op_code: np.ndarray, arity: np.ndarray,
-                 fanin_indptr: np.ndarray, fanin: np.ndarray,
-                 level: np.ndarray, n_inputs: int,
-                 n_gates: int) -> list[LevelPlan]:
-    """Group gates into per-level ``(op, arity)`` evaluation plans."""
-    plans: list[LevelPlan] = []
+def _build_programs(op_code: np.ndarray, arity: np.ndarray,
+                    fanin_indptr: np.ndarray, fanin: np.ndarray,
+                    level: np.ndarray, n_inputs: int,
+                    n_nodes: int) -> list[LevelProgram]:
+    """One :class:`LevelProgram` per topological level.
+
+    Every per-gate quantity is computed in one vectorized pass over
+    the gates sorted by (level, family, ordinal); the loop over levels
+    only slices.
+    """
+    n_gates = len(op_code)
     if n_gates == 0:
-        return plans
-    ordinals = np.arange(n_gates, dtype=np.int64)
-    for lvl in np.unique(level):
-        at_level = ordinals[level == lvl]
-        groups: list[GatePlan] = []
-        keys = op_code[at_level].astype(np.int64) * (2 ** 32) \
-            + arity[at_level].astype(np.int64)
-        for key in np.unique(keys):
-            members = at_level[keys == key]
-            code = int(key >> 32)
-            n_in = int(key & 0xFFFFFFFF)
-            if n_in:
-                fmat = np.zeros((len(members), n_in), dtype=np.int64)
-                for row, g in enumerate(members.tolist()):
-                    lo = fanin_indptr[g]
-                    fmat[row] = fanin[lo:lo + n_in]
-            else:
-                fmat = np.zeros((len(members), 0), dtype=np.int64)
-            groups.append(GatePlan(op=SUPPORTED_OPS[code], code=code,
-                                   arity=n_in,
-                                   gates=members + n_inputs, fanin=fmat))
-        plans.append(LevelPlan(level=int(lvl), groups=groups))
-    return plans
+        return []
+    xor = XOR_FAMILY[op_code]
+    order = np.lexsort((xor, level))
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(level[order])) + 1))
+    ends = np.concatenate((starts[1:], [n_gates]))
+    widths = np.maximum(np.maximum.reduceat(arity[order], starts), 1)
+    codes = op_code[order]
+    # Port-major padded fanin of every gate at the widest level's width
+    # (see PAD_ONES); each level slices its own width.
+    ports = np.arange(int(widths.max()))[:, None]
+    idx = fanin_indptr[order] + ports
+    source = fanin if len(fanin) else np.zeros(1, dtype=np.int64)
+    matrix = np.where(ports < arity[order],
+                      source[np.minimum(idx, len(source) - 1)],
+                      np.where(PAD_ONES[codes], n_nodes + 1, n_nodes))
+    in_mask = np.where(IN_INVERT[codes], _ONES, np.uint64(0))
+    out_mask = np.where(OUT_INVERT[codes], _ONES, np.uint64(0))
+    n_and = np.add.reduceat((~xor[order]).astype(np.int64), starts)
+    any_in = np.logical_or.reduceat(IN_INVERT[codes], starts)
+    any_out = np.logical_or.reduceat(OUT_INVERT[codes], starts)
+    gates = order + n_inputs
+    levels = level[order[starts]]
+
+    programs: list[LevelProgram] = []
+    for a, b, width, lvl, k, has_in, has_out in zip(
+            starts.tolist(), ends.tolist(), widths.tolist(),
+            levels.tolist(), n_and.tolist(), any_in.tolist(),
+            any_out.tolist()):
+        programs.append(LevelProgram(
+            level=lvl, gates=gates[a:b],
+            fanin=np.ascontiguousarray(matrix[:width, a:b]), n_and=k,
+            in_mask=in_mask[a:b, None] if has_in else None,
+            out_mask=out_mask[a:b, None] if has_out else None))
+    return programs
+
+
+def _mask_row(mask: np.ndarray | None, n: int) -> np.ndarray:
+    """A program mask as ``[n]`` uint64, zeros when absent."""
+    return np.zeros(n, dtype=np.uint64) if mask is None else mask.reshape(n)
 
 
 def _fail(where: str, message: str) -> None:
@@ -391,9 +443,9 @@ def validate_flat(flat: FlatCircuit, circuit: Circuit | None = None) -> None:
 
     Structural checks need only the arena itself: index bounds, CSR
     monotonicity, fanin/fanout transpose consistency, distinct-reader
-    consistency, strict level monotonicity along every edge, and plan
-    coverage.  When ``circuit`` is given, every lowered value is also
-    cross-checked against the source netlist and its cell library, so a
+    consistency, strict level monotonicity along every edge, and level
+    program coverage.  When ``circuit`` is given, every lowered value is
+    also cross-checked against the source netlist and its cell library, so a
     mutation of *any single arena entry* is caught and located.
     """
     n_inputs, n_gates, n_dffs = flat.n_inputs, flat.n_gates, flat.n_dffs
@@ -523,33 +575,29 @@ def validate_flat(flat: FlatCircuit, circuit: Circuit | None = None) -> None:
         _fail("reader", "distinct-reader CSR does not transpose the "
                         "sensitization edge set")
 
-    # Plans must cover every gate exactly once with matching attributes.
-    covered = np.zeros(n_gates, dtype=np.int64)
-    for lp in flat.plans:
-        for plan in lp.groups:
-            for row, node in enumerate(plan.gates.tolist()):
-                if not n_inputs <= node < dff_base:
-                    _fail(f"plan level {lp.level}",
-                          f"node {node} is not a gate")
-                g = node - n_inputs
-                covered[g] += 1
-                if int(flat.level[g]) != lp.level:
-                    _fail(f"plan for gate {flat.names[node]!r}",
-                          f"listed at level {lp.level}, gate level is "
-                          f"{int(flat.level[g])}")
-                if int(flat.op_code[g]) != plan.code \
-                        or int(flat.arity[g]) != plan.arity:
-                    _fail(f"plan for gate {flat.names[node]!r}",
-                          "op/arity does not match the gate arrays")
-                lo = flat.fanin_indptr[g]
-                if not np.array_equal(plan.fanin[row],
-                                      flat.fanin[lo:lo + plan.arity]):
-                    _fail(f"plan for gate {flat.names[node]!r}",
-                          "plan fanin row does not match the fanin CSR")
-    if n_gates and np.any(covered != 1):
-        g = int(np.argmax(covered != 1))
-        _fail("plans", f"gate {flat.names[n_inputs + g]!r} covered "
-                       f"{int(covered[g])} times")
+    # Programs must be exactly what lowering builds from the arrays
+    # validated above: same level split, gate order, fanin and masks.
+    want = _build_programs(flat.op_code, flat.arity, flat.fanin_indptr,
+                           flat.fanin, flat.level, n_inputs, n_nodes)
+    if len(flat.programs) != len(want):
+        _fail("programs", f"{len(flat.programs)} level programs for "
+                          f"{len(want)} levels")
+    for got, exp in zip(flat.programs, want):
+        if (got.level, got.n_and, got.gates.shape, got.fanin.shape) != \
+                (exp.level, exp.n_and, exp.gates.shape, exp.fanin.shape):
+            _fail(f"program level {exp.level}",
+                  "op/arity does not match the level's gates, family "
+                  "split or fanin width")
+        bad = (got.gates != exp.gates) | (got.fanin != exp.fanin).any(axis=0)
+        for mask, want_mask in ((got.in_mask, exp.in_mask),
+                                (got.out_mask, exp.out_mask)):
+            bad |= _mask_row(mask, len(bad)) != _mask_row(want_mask,
+                                                          len(bad))
+        if bad.any():
+            node = int(exp.gates[np.argmax(bad)])
+            _fail(f"program for gate {flat.names[node]!r}",
+                  "op/arity, mask or fanin row does not match the gate "
+                  "arrays and the fanin CSR")
 
     if circuit is not None:
         _cross_check(flat, circuit)

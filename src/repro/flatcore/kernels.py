@@ -21,82 +21,101 @@ pins this on the whole committed corpus.  The bit-identity rules:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.intervals import IntervalSet
 from ..errors import FlatCoreError, SimulationError
-from ..netlist.cell_library import SUPPORTED_OPS
 from ..sim.bitvec import _tail_mask, n_words, popcount
-from .arena import FlatCircuit
+from .arena import IN_INVERT, OUT_INVERT, XOR_FAMILY, FlatCircuit
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _reduce_group(op: str, ins: np.ndarray) -> np.ndarray:
-    """Evaluate one ``(op, arity)`` group on gathered input signatures.
+def _reduce(ins: np.ndarray, n_and: int) -> np.ndarray:
+    """``R`` over the port axis of masked inputs ``[width, n, words]``.
 
-    ``ins`` is ``[n_gates_in_group, arity, n_words]``; the result is
-    ``[n_gates_in_group, n_words]`` with padding bits possibly set for
-    inverting ops (callers trim, mirroring the object core).
+    Gates ``[:n_and]`` reduce with AND, the rest with XOR (see
+    :class:`~repro.flatcore.arena.LevelProgram`).  The result is
+    ``[n, words]`` with padding bits possibly set; callers trim.
     """
-    if op == "BUF":
-        return ins[:, 0]
-    if op == "NOT":
-        return ins[:, 0] ^ _ONES
-    # Two-input groups dominate real netlists; a direct binary op skips
-    # the ufunc-reduce machinery (bitwise algebra, so same bits).
-    two = ins.shape[1] == 2
-    if op in ("AND", "NAND"):
-        out = (ins[:, 0] & ins[:, 1]) if two \
-            else np.bitwise_and.reduce(ins, axis=1)
-        if op == "NAND":
-            out = out ^ _ONES
-        return out
-    if op in ("OR", "NOR"):
-        out = (ins[:, 0] | ins[:, 1]) if two \
-            else np.bitwise_or.reduce(ins, axis=1)
-        if op == "NOR":
-            out = out ^ _ONES
-        return out
-    if op in ("XOR", "XNOR"):
-        out = (ins[:, 0] ^ ins[:, 1]) if two \
-            else np.bitwise_xor.reduce(ins, axis=1)
-        if op == "XNOR":
-            out = out ^ _ONES
-        return out
-    raise FlatCoreError(f"no grouped evaluator for op {op!r}")
+    n = ins.shape[1]
+    if n_and == n:
+        return np.bitwise_and.reduce(ins, axis=0)
+    if n_and == 0:
+        return np.bitwise_xor.reduce(ins, axis=0)
+    out = np.empty(ins.shape[1:], dtype=np.uint64)
+    np.bitwise_and.reduce(ins[:, :n_and], axis=0, out=out[:n_and])
+    np.bitwise_xor.reduce(ins[:, n_and:], axis=0, out=out[n_and:])
+    return out
 
 
 # ----------------------------------------------------------------------
 # Logic simulation
 # ----------------------------------------------------------------------
 
+def _value_matrix(flat: FlatCircuit, words: int) -> np.ndarray:
+    """A zeroed ``[n_rows, words]`` value matrix with its padding rows."""
+    value_matrix = np.zeros((flat.n_rows, words), dtype=np.uint64)
+    value_matrix[-1] = _ONES
+    return value_matrix
+
+
 def _level_sweep(flat: FlatCircuit, value_matrix: np.ndarray,
-                 words: int, tail: np.uint64,
+                 tail: np.uint64,
                  forced_by_level: Mapping[int, list] | None = None) -> None:
-    """Evaluate every gate level in place on ``[n_nodes, words]``.
+    """Evaluate every gate level in place on ``[n_rows, words]``.
 
     Input and register rows must already hold their signatures; gate
-    rows are overwritten level by level.  ``forced_by_level`` optionally
-    injects per-level overrides after that level evaluates (a forced
-    gate's readers all sit at strictly higher levels)."""
-    for level_plan in flat.plans:
-        for plan in level_plan.groups:
-            count = len(plan.gates)
-            if plan.op == "CONST0":
-                out = np.zeros((count, words), dtype=np.uint64)
-            elif plan.op == "CONST1":
-                out = np.full((count, words), _ONES, dtype=np.uint64)
-            else:
-                out = _reduce_group(plan.op, value_matrix[plan.fanin])
-            out[:, -1] &= tail
-            value_matrix[plan.gates] = out
+    rows are overwritten, one gathered expression per level.  Bits
+    never mix across pattern positions, so the padding bits are trimmed
+    once, after the last level.  ``forced_by_level`` optionally injects
+    per-level overrides after that level evaluates (a forced gate's
+    readers all sit at strictly higher levels)."""
+    for prog in flat.programs:
+        ins = value_matrix.take(prog.fanin, axis=0)  # fresh gather
+        if prog.in_mask is not None:
+            ins ^= prog.in_mask
+        out = _reduce(ins, prog.n_and)
+        if prog.out_mask is not None:
+            out ^= prog.out_mask
+        value_matrix[prog.gates] = out
         if forced_by_level:
-            for node, sig in forced_by_level.get(level_plan.level, ()):
+            for node, sig in forced_by_level.get(prog.level, ()):
                 value_matrix[node] = sig
+    value_matrix[flat.n_inputs:flat.n_inputs + flat.n_gates, -1] &= tail
+
+
+def _reset_matrix(flat: FlatCircuit, words: int,
+                  tail: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """A value matrix in the reset state, and a view of its register rows.
+
+    Mirrors ``reset_state``: init=1 registers power up all-ones, the
+    rest all-zero.
+    """
+    value_matrix = _value_matrix(flat, words)
+    dff_base = flat.n_inputs + flat.n_gates
+    registers = value_matrix[dff_base:flat.n_nodes]
+    registers[flat.dff_init.astype(bool)] = _ONES
+    registers[:, -1] &= tail
+    return value_matrix, registers
+
+
+def _draw_inputs(rng: np.random.Generator, n_inputs: int, words: int,
+                 tail: np.uint64) -> np.ndarray:
+    """One cycle's ``[n_inputs, words]`` primary-input signatures.
+
+    PCG64 fills a C-contiguous uint64 request word by word from the same
+    stream, so this one batched draw consumes the generator identically
+    to one ``random_patterns`` call per input in declaration order
+    (pinned by ``test_batched_input_draws_match_per_input_draws``).
+    """
+    draws = rng.integers(0, 2 ** 64, size=(n_inputs, words),
+                         dtype=np.uint64)
+    draws[:, -1] &= tail
+    return draws
 
 
 def record_frames_flat(flat: FlatCircuit, n_frames: int, n_patterns: int,
@@ -104,43 +123,26 @@ def record_frames_flat(flat: FlatCircuit, n_frames: int, n_patterns: int,
                        ) -> list[np.ndarray]:
     """Matrix-native replacement for ``repro.sim.odc._record_frames``.
 
-    Runs the warmup and recorded cycles entirely on ``[n_nodes, words]``
+    Runs the warmup and recorded cycles entirely on ``[n_rows, words]``
     matrices -- no per-net dicts, no per-register copies.  Bit-identity
     with the object recorder holds because the RNG stream is drawn
     identically (one :func:`random_patterns` call per primary input, in
     declaration order, per cycle) and the register clocking rule is the
-    same gather (``state = values[dff_d]``) the object simulator
+    same gather (``registers = values[dff_d]``) the object simulator
     expresses one ``.copy()`` at a time.
     """
     words = n_words(n_patterns)
     tail = _tail_mask(n_patterns)
     n_inputs = flat.n_inputs
-    dff_base = n_inputs + flat.n_gates
-
-    ones_row = np.full(words, _ONES, dtype=np.uint64)
-    ones_row[-1] &= tail
-    # reset_state: init=1 registers power up all-ones, the rest all-zero
-    state = np.zeros((flat.n_dffs, words), dtype=np.uint64)
-    state[flat.dff_init.astype(bool)] = ones_row
-
-    value_matrix = np.zeros((flat.n_nodes, words), dtype=np.uint64)
+    value_matrix, registers = _reset_matrix(flat, words, tail)
     frames: list[np.ndarray] = []
     for cycle in range(warmup + n_frames):
         if n_inputs:
-            # One batched draw per cycle.  PCG64 fills a C-contiguous
-            # uint64 request word by word from the same stream, so this
-            # consumes the generator identically to one
-            # ``random_patterns`` call per input (pinned by
-            # ``test_batched_input_draws_match_per_input_draws``).
-            draws = rng.integers(0, 2 ** 64, size=(n_inputs, words),
-                                 dtype=np.uint64)
-            draws[:, -1] &= tail
-            value_matrix[:n_inputs] = draws
-        value_matrix[dff_base:] = state
-        _level_sweep(flat, value_matrix, words, tail)
-        state = value_matrix[flat.dff_d]  # fancy indexing: a fresh copy
+            value_matrix[:n_inputs] = _draw_inputs(rng, n_inputs, words, tail)
+        _level_sweep(flat, value_matrix, tail)
         if cycle >= warmup:
             frames.append(value_matrix.copy())
+        registers[:] = value_matrix[flat.dff_d]
     return frames
 
 
@@ -151,18 +153,18 @@ def simulate_comb_flat(flat: FlatCircuit,
                        ) -> dict[str, np.ndarray]:
     """Level-sweep replacement for :func:`repro.sim.logicsim.simulate_comb`.
 
-    Signatures for all nodes live in one ``[n_nodes, n_words]`` matrix;
-    each topological level evaluates as a handful of gathered numpy
-    expressions.  The returned dict matches the object core exactly:
-    inputs/registers alias the caller's arrays, forced nets alias the
-    force arrays (untrimmed), and gate entries are trimmed rows of the
-    value matrix (disjoint -- no aliasing between gates).
+    Signatures for all nodes live in one ``[n_rows, n_words]`` matrix;
+    each topological level evaluates as one gathered numpy expression.
+    The returned dict matches the object core exactly: inputs/registers
+    alias the caller's arrays, forced nets alias the force arrays
+    (untrimmed), and gate entries are trimmed rows of the value matrix
+    (disjoint -- no aliasing between gates).
     """
     words = n_words(n_patterns)
     tail = _tail_mask(n_patterns)
     n_inputs, n_gates = flat.n_inputs, flat.n_gates
     dff_base = n_inputs + n_gates
-    value_matrix = np.zeros((flat.n_nodes, words), dtype=np.uint64)
+    value_matrix = _value_matrix(flat, words)
 
     result: dict[str, np.ndarray] = {}
     for node in range(n_inputs):
@@ -196,7 +198,7 @@ def simulate_comb_flat(flat: FlatCircuit,
     # A forced gate's own evaluation is discarded; the per-level
     # overwrite inside the sweep reproduces the object core's
     # skip-and-alias semantics (padding included).
-    _level_sweep(flat, value_matrix, words, tail, forced_by_level)
+    _level_sweep(flat, value_matrix, tail, forced_by_level)
 
     for node in flat.topo.tolist():
         net = flat.names[node]
@@ -207,19 +209,59 @@ def simulate_comb_flat(flat: FlatCircuit,
     return result
 
 
+def cosim_flat(first: FlatCircuit, second: FlatCircuit, n_patterns: int,
+               rng: np.random.Generator) -> Iterator[bool]:
+    """Co-simulate two arenas from reset on one random input trace.
+
+    Yields, once per cycle and without end, whether any positional pair
+    of primary outputs differs in that cycle.  Matrix-native
+    replacement for stepping two
+    :class:`~repro.sim.sequential.SequentialSimulator` objects: each
+    circuit keeps one persistent ``[n_rows, words]`` value matrix, the
+    per-cycle input draw is batched in ``first``'s input order (as in
+    :func:`record_frames_flat`), ``second`` reads the draws by input
+    name, and the registers clock as one gather ``V[dff_d]``.  The
+    interfaces must already match by name and count.
+    """
+    words = n_words(n_patterns)
+    tail = _tail_mask(n_patterns)
+    values1, registers1 = _reset_matrix(first, words, tail)
+    values2, registers2 = _reset_matrix(second, words, tail)
+    outputs1 = [first.index[net] for net in first.outputs]
+    outputs2 = [second.index[net] for net in second.outputs]
+    n_inputs = first.n_inputs
+    inputs2 = [second.index[net] for net in first.names[:n_inputs]]
+    while True:
+        if n_inputs:
+            draws = _draw_inputs(rng, n_inputs, words, tail)
+            values1[:n_inputs] = draws
+            values2[inputs2] = draws
+        _level_sweep(first, values1, tail)
+        _level_sweep(second, values2, tail)
+        yield bool((values1[outputs1] != values2[outputs2]).any())
+        registers1[:] = values1[first.dff_d]
+        registers2[:] = values2[second.dff_d]
+
+
 # ----------------------------------------------------------------------
 # Observability (backward ODC sweep)
 # ----------------------------------------------------------------------
 
 @dataclass
 class _SensGroup:
-    """Sensitization edges sharing (op, arity), evaluated together."""
+    """Sensitization edges of one gate family and arity.
 
-    op: str
+    Each row evaluates its gate with the edge's source ports flipped,
+    in the level programs' algebra: ``in_mask`` is the gate's ``m``
+    XOR all-ones on the ports the source drives.
+    """
+
     edge_ids: np.ndarray   # rows of the global edge arrays
     gate_nodes: np.ndarray
-    fanin: np.ndarray      # [n_edges_in_group, arity]
-    flip: np.ndarray       # bool mask: ports driven by the edge's source
+    fanin: np.ndarray      # [arity, n_edges_in_group], port-major
+    in_mask: np.ndarray    # [arity, n_edges_in_group, 1] uint64
+    out_mask: np.ndarray   # [n_edges_in_group, 1] uint64
+    n_and: int             # all rows (AND family) or none (XOR family)
 
 
 @dataclass
@@ -245,19 +287,24 @@ def _sens_plans(flat: FlatCircuit) -> tuple[list[_SensGroup],
 
     groups: list[_SensGroup] = []
     if n_edges:
-        ordinals = edge_gate - n_inputs
-        keys = flat.op_code[ordinals].astype(np.int64) * (2 ** 32) \
-            + flat.arity[ordinals].astype(np.int64)
-        for key in np.unique(keys):
-            ids = np.nonzero(keys == key)[0]
-            code = int(key >> 32)
-            arity = int(key & 0xFFFFFFFF)
-            lo = flat.fanin_indptr[ordinals[ids]]
-            fanin = flat.fanin[lo[:, None] + np.arange(arity)]
-            flip = fanin == edge_src[ids][:, None]
-            groups.append(_SensGroup(op=SUPPORTED_OPS[code], edge_ids=ids,
-                                     gate_nodes=edge_gate[ids],
-                                     fanin=fanin, flip=flip))
+        codes = flat.op_code[edge_gate - n_inputs]
+        arity = flat.arity[edge_gate - n_inputs]
+        keys = 2 * arity + XOR_FAMILY[codes]
+        # bincount, not np.unique: that imports numpy.ma on first use,
+        # ~16 ms of every worker's cold start.
+        for key in np.flatnonzero(np.bincount(keys)).tolist():
+            ids = np.flatnonzero(keys == key)
+            width, xor = divmod(key, 2)
+            lo = flat.fanin_indptr[edge_gate[ids] - n_inputs]
+            fanin = flat.fanin[lo + np.arange(width)[:, None]]
+            flip = fanin == edge_src[ids]
+            in_mask = np.where(IN_INVERT[codes[ids]] != flip,
+                               _ONES, np.uint64(0))
+            out_mask = np.where(OUT_INVERT[codes[ids]], _ONES, np.uint64(0))
+            groups.append(_SensGroup(
+                edge_ids=ids, gate_nodes=edge_gate[ids], fanin=fanin,
+                in_mask=in_mask[:, :, None], out_mask=out_mask[:, None],
+                n_and=0 if xor else len(ids)))
 
     # Scatter stages: gate sources by descending level, then all
     # input/register sources (level tag -1) -- the object core's
@@ -297,7 +344,7 @@ def observability_flat(flat: FlatCircuit,
                                   dict[str, np.ndarray] | None]:
     """Vectorized backward ODC sweep over recorded frame matrices.
 
-    ``frames`` holds one ``[n_nodes, words]`` value matrix per cycle
+    ``frames`` holds one ``[n_rows, words]`` value matrix per cycle
     (:func:`record_frames_flat`).  Mirrors
     ``repro.sim.odc._observability_impl`` bit for bit: per frame,
     per-edge sensitization masks are evaluated in grouped numpy
@@ -325,11 +372,12 @@ def observability_flat(flat: FlatCircuit,
         last = t == n_frames - 1
 
         for group in groups:
-            ins = value_matrix[group.fanin]      # fresh gather
-            ins[group.flip] ^= _ONES
-            flipped = _reduce_group(group.op, ins)
-            flipped[:, -1] &= tail
+            ins = value_matrix.take(group.fanin, axis=0)  # fresh gather
+            ins ^= group.in_mask
+            flipped = _reduce(ins, group.n_and)
+            flipped ^= group.out_mask
             sens[group.edge_ids] = value_matrix[group.gate_nodes] ^ flipped
+        sens[:, -1] &= tail
 
         masks = np.zeros((n_nodes, words), dtype=np.uint64)
         if len(po_nodes):

@@ -12,10 +12,13 @@ Three layers of assurance:
   of the consumed values.  Both solvers only move registers forward, so
   this covers the whole pipeline.
 * :func:`check_sequential_equivalence` -- cycle-accurate bit-parallel
-  co-simulation of two circuits on a shared random input trace.
+  co-simulation of two circuits on a shared random input trace
+  (:class:`CoSimulation`, which the guards extend window by window).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -188,6 +191,66 @@ def forward_initial_states(circuit: Circuit, graph: RetimingGraph,
     return chain_inits
 
 
+class CoSimulation:
+    """One co-simulation of two circuits from reset, extended lazily.
+
+    The circuits must have identical primary-input names and equally
+    many primary outputs (compared positionally);
+    :class:`SimulationError` otherwise.  Both run on one random input
+    trace drawn from ``seed``; :attr:`differs` records, per simulated
+    cycle, whether any output pair disagreed.  Every window read from
+    one instance sees the same trace, so escalating flush windows never
+    restart the simulation.
+
+    The flat kernel (:func:`repro.flatcore.kernels.cosim_flat`) runs
+    when :func:`repro.flatcore.arena.flat_for` gives both arenas; two
+    :class:`SequentialSimulator` objects are the object-core reference.
+    """
+
+    def __init__(self, first: Circuit, second: Circuit,
+                 n_patterns: int = 128, seed: int = 0):
+        if set(first.inputs) != set(second.inputs):
+            raise SimulationError("circuits have different primary inputs")
+        if len(first.outputs) != len(second.outputs):
+            raise SimulationError("circuits have different output counts")
+        from ..flatcore import arena
+
+        rng = np.random.default_rng(seed)
+        flat1 = arena.flat_for(first)
+        flat2 = arena.flat_for(second) if flat1 is not None else None
+        if flat2 is not None:
+            from ..flatcore.kernels import cosim_flat
+
+            self._cycles = cosim_flat(flat1, flat2, n_patterns, rng)
+        else:
+            self._cycles = _cosim_objects(first, second, n_patterns, rng)
+        self.differs: list[bool] = []
+
+    def first_mismatch(self, start: int, stop: int) -> int:
+        """First cycle in ``[start, stop)`` whose outputs differ, or -1.
+
+        Simulates only as far as the answer needs."""
+        for cycle in range(start, stop):
+            while len(self.differs) <= cycle:
+                self.differs.append(next(self._cycles))
+            if self.differs[cycle]:
+                return cycle
+        return -1
+
+
+def _cosim_objects(first: Circuit, second: Circuit, n_patterns: int,
+                   rng: np.random.Generator) -> Iterator[bool]:
+    """Object-core :class:`CoSimulation` cycles: two simulators."""
+    sim1 = SequentialSimulator(first, n_patterns)
+    sim2 = SequentialSimulator(second, n_patterns)
+    while True:
+        pis = {net: random_patterns(n_patterns, rng) for net in first.inputs}
+        nets1 = sim1.step(pis)
+        nets2 = sim2.step(pis)
+        yield any(popcount(nets1[po1] ^ nets2[po2])
+                  for po1, po2 in zip(first.outputs, second.outputs))
+
+
 def check_sequential_equivalence(first: Circuit, second: Circuit,
                                  cycles: int = 32, n_patterns: int = 128,
                                  seed: int = 0, flush: int = 0,
@@ -200,20 +263,6 @@ def check_sequential_equivalence(first: Circuit, second: Circuit,
     the first ``flush`` (a warm-up transient).  Returns ``(equal,
     first_bad_cycle)`` with ``first_bad_cycle == -1`` when equal.
     """
-    if set(first.inputs) != set(second.inputs):
-        raise SimulationError("circuits have different primary inputs")
-    if len(first.outputs) != len(second.outputs):
-        raise SimulationError("circuits have different output counts")
-    rng = np.random.default_rng(seed)
-    sim1 = SequentialSimulator(first, n_patterns)
-    sim2 = SequentialSimulator(second, n_patterns)
-    for cycle in range(flush + cycles):
-        pis = {net: random_patterns(n_patterns, rng) for net in first.inputs}
-        nets1 = sim1.step(pis)
-        nets2 = sim2.step(pis)
-        if cycle < flush:
-            continue
-        for po1, po2 in zip(first.outputs, second.outputs):
-            if popcount(nets1[po1] ^ nets2[po2]):
-                return False, cycle
-    return True, -1
+    bad = CoSimulation(first, second, n_patterns, seed).first_mismatch(
+        flush, flush + cycles)
+    return bad < 0, bad

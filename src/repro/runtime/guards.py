@@ -34,7 +34,8 @@ from ..errors import SimulationError, VerificationError
 from ..graph.retiming_graph import RetimingGraph
 from ..graph.timing import achieved_period
 from ..netlist.circuit import Circuit
-from ..retime.verify import check_cycle_weights, check_sequential_equivalence
+from ..retime.verify import CoSimulation, check_cycle_weights
+from ..telemetry import spans as telemetry
 
 
 @dataclass
@@ -184,15 +185,27 @@ def verify_retimed(original: Circuit, retimed: Circuit,
         while bound < FLUSH_CAP:
             bound = min(FLUSH_CAP, max(2 * bound, 4))
             schedule.append(bound)
-    for flush_cycles in schedule:
-        try:
-            sequential_ok, bad_cycle = check_sequential_equivalence(
-                original, retimed, cycles=check_cycles,
-                n_patterns=n_patterns, seed=seed, flush=int(flush_cycles))
-        except SimulationError:  # mismatched interfaces
+    # Every window starts from reset on the same seeded trace, so one
+    # lazily extended co-simulation serves them all.
+    try:
+        cosim = CoSimulation(original, retimed, n_patterns=n_patterns,
+                             seed=seed)
+    except SimulationError:  # mismatched interfaces
+        cosim = None
+    for windows, flush_cycles in enumerate(schedule, 1):
+        if cosim is None:
             sequential_ok, bad_cycle = False, 0
+        else:
+            bad_cycle = cosim.first_mismatch(int(flush_cycles),
+                                             int(flush_cycles) + check_cycles)
+            sequential_ok = bad_cycle < 0
         if sequential_ok:
             break
+    tracer = telemetry.active()
+    if tracer is not None:
+        tracer.add_attrs(
+            cosim_cycles=len(cosim.differs) if cosim is not None else 0,
+            flush_windows=windows)
     report.flush_cycles = int(flush_cycles)
     if sequential_ok and flush_cycles != schedule[0]:
         report.notes.append(

@@ -5,8 +5,9 @@ produce a silently wrong analysis: :func:`repro.flatcore.validate_flat`
 must reject it with a *located* error (which array, which entry) before
 any kernel runs.  Each case below lowers a real corpus circuit, flips
 exactly one arena entry chosen by a seeded RNG -- an op code, a CSR
-index, an indptr, a delay, a topo slot, a register binding -- and
-asserts the validator refuses, naming the corrupted site.
+index, an indptr, a delay, a topo slot, a register binding, a level
+program's fanin row -- and asserts the validator refuses, naming the
+corrupted site.
 """
 
 import numpy as np
@@ -98,6 +99,13 @@ def mutate_dff_d(rng, flat):
     return ("fanout", "dff", "data net")
 
 
+def mutate_program_fanin(rng, flat):
+    prog = flat.programs[int(rng.integers(0, len(flat.programs)))]
+    i = int(rng.integers(0, prog.fanin.shape[1]))
+    prog.fanin[0, i] = _other_index(rng, int(prog.fanin[0, i]), flat.n_nodes)
+    return "program"
+
+
 def mutate_arity(rng, flat):
     g = int(rng.integers(0, flat.n_gates))
     flat.arity[g] += 1
@@ -117,6 +125,7 @@ MUTATIONS = [
     mutate_topo_swap,
     mutate_dff_d,
     mutate_arity,
+    mutate_program_fanin,
 ]
 
 

@@ -142,16 +142,13 @@ class TestFlushWindow:
         retiming: the guard escalates the window before failing."""
         from repro.runtime import guards as guards_mod
 
-        real = guards_mod.check_sequential_equivalence
+        class SlowTransient(guards_mod.CoSimulation):
+            def first_mismatch(self, start, stop):
+                if start < 16:  # pretend the reset transient lasts 16
+                    return start
+                return super().first_mismatch(start, stop)
 
-        def slow_transient(first, second, cycles, n_patterns, seed, flush):
-            if flush < 16:  # pretend the reset transient lasts 16 cycles
-                return False, flush
-            return real(first, second, cycles=cycles,
-                        n_patterns=n_patterns, seed=seed, flush=flush)
-
-        monkeypatch.setattr(guards_mod, "check_sequential_equivalence",
-                            slow_transient)
+        monkeypatch.setattr(guards_mod, "CoSimulation", SlowTransient)
         circuit, retimed, graph, r, phi, _ = solved
         report = verify_retimed(circuit, retimed, graph, r, phi,
                                 setup=circuit.library.setup_time,
@@ -165,12 +162,12 @@ class TestFlushWindow:
 
         calls = []
 
-        def never_agrees(first, second, cycles, n_patterns, seed, flush):
-            calls.append(flush)
-            return False, flush
+        class NeverAgrees(guards_mod.CoSimulation):
+            def first_mismatch(self, start, stop):
+                calls.append(start)
+                return start
 
-        monkeypatch.setattr(guards_mod, "check_sequential_equivalence",
-                            never_agrees)
+        monkeypatch.setattr(guards_mod, "CoSimulation", NeverAgrees)
         circuit, retimed, graph, r, phi, _ = solved
         report = verify_retimed(circuit, retimed, graph, r, phi,
                                 exact_states=False, flush_cycles=5)
