@@ -11,8 +11,8 @@ Public surface:
 * :data:`SITES` -- the injection-site catalog plans are validated
   against;
 * :mod:`repro.faultplane.chaos` -- the chaos harness (in-process
-  differential runs, the subprocess kill/restart loop, the recovery
-  scorecard).
+  differential runs, the one subprocess kill/restart loop -- also the
+  service kill-loop's -- and the recovery scorecard).
 """
 
 from .chaos import (ChaosScorecard, HarnessAttempt, HarnessResult,

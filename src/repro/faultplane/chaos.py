@@ -8,12 +8,14 @@ Three layers:
   :func:`repro.runtime.suite.run_suite`, then run the *same* configuration
   clean and differentially verify that recovery never produced a wrong
   answer (see :func:`verify_run` / :func:`oracle_check`).
-* :func:`restart_until_complete` -- the crash-consistency harness: run the
-  ``table1`` CLI in a child process armed (via ``REPRO_FAULT_PLAN``) with
-  ``kill`` faults, restart with ``--resume`` until it completes, and
-  record for every attempt which circuits were computed vs resumed and
-  whether the on-disk manifest stayed loadable (it must: the atomic
-  fsync+rename protocol guarantees a never-torn checkpoint).
+* :func:`restart_until_complete` -- the one subprocess kill loop: run a
+  CLI child armed (via ``REPRO_FAULT_PLAN``) with ``kill`` faults and
+  restart it until it exits 0.  The crash-consistency harness runs
+  ``table1``/``matrix`` with ``--resume`` through it and records for
+  every attempt which circuits were computed vs resumed and whether the
+  on-disk manifest stayed loadable (it must: the atomic fsync+rename
+  protocol guarantees a never-torn checkpoint); the service kill-loop
+  (:mod:`repro.service.killloop`) runs ``serve`` through it.
 * :class:`ChaosScorecard` -- the recovery scorecard: faults injected /
   retried / degraded / quarantined / gave-up / wrong-answer counts, which
   the ``repro-ser chaos`` subcommand prints and CI archives.
@@ -28,13 +30,14 @@ any reported objective beats the brute-force oracle.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ExecutionError, ManifestError
 from . import hooks
@@ -426,21 +429,31 @@ class HarnessResult:
 
 
 #: A freshly computed circuit's ``--verbose`` progress line
-#: (``"<name>: <status> (1.23s)"``).
-_COMPUTED_RE = re.compile(r"^(?P<name>\S+): \S.*\(\d+\.\d+s\)$")
+#: (``"<name>: <status> (1.23s)"``; never a ``warning:`` line).
+_COMPUTED_RE = re.compile(
+    r"^(?!warning:)(?P<name>\S+): \S.*\(\d+\.\d+s\)$")
 #: A checkpoint-skipped circuit's progress line.
 _RESUMED_RE = re.compile(r"^(?P<name>\S+): resumed from manifest")
+
+
+#: Per-launch wall-clock bound: a hung child is a failure, not a wait.
+LAUNCH_TIMEOUT = 600.0
+
+
+def cli_argv(*args: str) -> list[str]:
+    """Full argv of one ``repro.cli`` child process."""
+    return [sys.executable, "-m", "repro.cli", *args]
 
 
 def table1_argv(circuits: list[str], manifest_path: str, *,
                 scale: float, seed: int = 0, frames: int = 15,
                 patterns: int = 256, workers: int = 1,
                 extra: list[str] | None = None) -> list[str]:
-    """CLI argv for one resumable ``table1`` child run."""
-    argv = ["table1", *circuits, "--scale", repr(scale),
-            "--seed", str(seed), "--frames", str(frames),
-            "--patterns", str(patterns), "--resume", manifest_path,
-            "--verbose"]
+    """Full argv of one resumable ``table1`` child run."""
+    argv = cli_argv("table1", *circuits, "--scale", repr(scale),
+                    "--seed", str(seed), "--frames", str(frames),
+                    "--patterns", str(patterns), "--resume",
+                    manifest_path, "--verbose")
     if workers > 1:
         argv.extend(["--workers", str(workers)])
     if extra:
@@ -448,58 +461,58 @@ def table1_argv(circuits: list[str], manifest_path: str, *,
     return argv
 
 
-def restart_until_complete(argv: list[str], plan: FaultPlan,
-                           manifest_path: str, workdir: str,
+def reseeded(plan: FaultPlan) -> Iterator[FaultPlan]:
+    """Launch *i* gets ``plan.seed + i``: probabilistic kills cannot pin
+    the loop in a livelock, and the run replays from the base seed."""
+    return (FaultPlan(seed=plan.seed + offset, faults=list(plan.faults))
+            for offset in itertools.count())
+
+
+def restart_until_complete(argv: list[str], plans: Iterable[FaultPlan],
+                           workdir: str, manifest_path: str | None = None,
                            max_restarts: int = 40,
-                           reseed_per_attempt: bool = True,
                            progress: Callable[[str], None] | None = None,
                            ) -> HarnessResult:
-    """Run ``repro.cli`` with ``argv`` in a kill loop until it exits 0.
+    """Run the child ``argv`` in a kill loop until it exits 0.
 
-    Each attempt arms the child (via ``REPRO_FAULT_PLAN``) with ``plan``;
-    with ``reseed_per_attempt`` attempt *i* uses ``plan.seed + i`` so
-    probabilistic kills cannot pin the run in a livelock while staying
-    fully reproducible from the base seed.  After every attempt the
-    on-disk manifest is re-loaded (it must never be torn) and the
-    progress log is diffed against the previously completed set (a
-    checkpointed circuit must never be computed again).
+    Launch *i* is armed (via ``REPRO_FAULT_PLAN``) with the *i*-th plan
+    of ``plans``.  Exit 0 stops the loop, :data:`KILL_EXIT_CODE` (an
+    injected kill) restarts it, and any other exit -- or a launch that
+    outlives :data:`LAUNCH_TIMEOUT` -- raises :class:`ExecutionError`
+    at once, as does a kill after ``max_restarts`` restarts.
+
+    With ``manifest_path`` the on-disk checkpoint is re-loaded after
+    every launch (it must never be torn) and the progress log is diffed
+    against the previously completed set (a checkpointed circuit must
+    never be computed again).
     """
     os.makedirs(workdir, exist_ok=True)
     stats_path = os.path.join(workdir, "fault-stats.jsonl")
     src_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
+    env = dict(os.environ)
+    env[ENV_STATS] = stats_path
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src_root, env.get("PYTHONPATH"))))
     attempts: list[HarnessAttempt] = []
     completed: set[str] = set()
-    final_stdout = ""
-    fruitless = 0
-    for attempt_index in range(max_restarts + 1):
-        attempt_plan = FaultPlan(
-            seed=plan.seed + (attempt_index if reseed_per_attempt else 0),
-            faults=list(plan.faults))
-        env = dict(os.environ)
-        env[ENV_PLAN] = attempt_plan.to_json()
-        env[ENV_STATS] = stats_path
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", *argv],
-            capture_output=True, text=True, env=env, cwd=workdir)
-        computed: list[str] = []
-        resumed: list[str] = []
-        for line in proc.stderr.splitlines():
-            line = line.strip()
-            if line.startswith("warning:"):
-                continue
-            match = _RESUMED_RE.match(line)
-            if match is not None:
-                resumed.append(match.group("name"))
-                continue
-            match = _COMPUTED_RE.match(line)
-            if match is not None:
-                computed.append(match.group("name"))
+    for launch, plan in zip(range(1, max_restarts + 2), plans):
+        env[ENV_PLAN] = plan.to_json()
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True,
+                                  env=env, timeout=LAUNCH_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            raise ExecutionError(
+                f"launch {launch} timed out after {LAUNCH_TIMEOUT:g}s "
+                f"(fault seed {plan.seed})") from None
+        lines = [line.strip() for line in proc.stderr.splitlines()]
+        computed = [match.group("name")
+                    for match in map(_COMPUTED_RE.match, lines) if match]
+        resumed = [match.group("name")
+                   for match in map(_RESUMED_RE.match, lines) if match]
         loadable = True
         completed_after: set[str] = set(completed)
-        if os.path.exists(manifest_path):
+        if manifest_path is not None and os.path.exists(manifest_path):
             from ..runtime.manifest import RunManifest
 
             try:
@@ -515,32 +528,20 @@ def restart_until_complete(argv: list[str], plan: FaultPlan,
             stderr=proc.stderr))
         completed = completed_after
         if progress is not None:
-            progress(f"attempt {attempt_index}: exit {proc.returncode}, "
+            progress(f"launch {launch}: exit {proc.returncode}, "
                      f"computed {len(computed)}, resumed {len(resumed)}, "
                      f"{len(completed)} checkpointed")
         if proc.returncode == 0:
-            final_stdout = proc.stdout
             break
-        # Fail fast on deterministic livelock: an ordinary (non-kill)
-        # failure that made no checkpoint progress will repeat forever.
-        progressed = len(completed) > len(
-            attempts[-2].completed_after) if len(attempts) > 1 else \
-            bool(completed)
-        if proc.returncode != KILL_EXIT_CODE and not progressed:
-            fruitless += 1
-            if fruitless >= 3:
-                tail = "\n".join(proc.stderr.splitlines()[-5:])
-                raise ExecutionError(
-                    f"chaos child failed {fruitless} consecutive times "
-                    f"(exit {proc.returncode}) without progress; the "
-                    f"fault plan is not survivable. Last stderr:\n{tail}")
-        else:
-            fruitless = 0
+        if proc.returncode != KILL_EXIT_CODE:
+            tail = "\n".join(proc.stderr.splitlines()[-5:])
+            raise ExecutionError(
+                f"launch {launch} exited {proc.returncode} (fault seed "
+                f"{plan.seed}); last stderr:\n{tail}")
     else:
         raise ExecutionError(
-            f"chaos kill loop did not complete within {max_restarts} "
-            f"restarts (fault seed {plan.seed}; lower --kill-prob or "
-            f"raise --max-restarts)")
+            f"kill loop did not complete: launch {len(attempts)} was "
+            f"killed and no restart is left ({max_restarts} allowed)")
     stats: list[dict[str, Any]] = []
     if os.path.exists(stats_path):
         with open(stats_path, "r", encoding="utf-8") as handle:
@@ -551,7 +552,7 @@ def restart_until_complete(argv: list[str], plan: FaultPlan,
                         stats.append(json.loads(line))
                     except json.JSONDecodeError:
                         pass  # a kill can tear the advisory stats line
-    return HarnessResult(attempts=attempts, stdout=final_stdout,
+    return HarnessResult(attempts=attempts, stdout=proc.stdout,
                          stats=stats)
 
 
@@ -578,7 +579,8 @@ def run_kill_chaos(config, plan: FaultPlan, workdir: str,
                        scale=scale, seed=config.seed,
                        frames=config.n_frames, patterns=config.n_patterns,
                        workers=config.workers)
-    harness = restart_until_complete(argv, plan, manifest_path, workdir,
+    harness = restart_until_complete(argv, reseeded(plan), workdir,
+                                     manifest_path=manifest_path,
                                      max_restarts=max_restarts,
                                      progress=progress)
     card = ChaosScorecard(seed=plan.seed)

@@ -32,7 +32,9 @@ Layering (each module imports only downward)::
 The chaos companion :mod:`repro.service.killloop` kills the service --
 or, in worker-kill mode, individual sandboxed workers -- under fault
 plans and proves the exactly-once-completion and digest-parity claims.
-See ``docs/service.md``.
+Its launches run on the fault plane's one subprocess restart loop,
+:func:`repro.faultplane.chaos.restart_until_complete`.  See
+``docs/service.md``.
 """
 
 from .admission import AdmissionController, TokenBucket, resident_memory_mb

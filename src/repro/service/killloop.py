@@ -7,13 +7,15 @@ launches ``repro-ser serve --drain-after-idle`` as a subprocess armed
 -- every durable job-record write is a potential crash point, which
 covers every lifecycle transition: admission persists, lease persists,
 start/complete/fail persists, recovery's requeue persists.  Each launch
-reseeds the plan (``seed + attempt``) so restarts die at different
+reseeds the plan (``seed + launch``) so restarts die at different
 points instead of livelocking on one.
 
-A launch ends one of three ways: exit
-:data:`~repro.faultplane.plan.KILL_EXIT_CODE` (injected kill -- restart
-and let startup recovery repair the queue), exit 0 (the queue drained
-idle -- stop), anything else (a real bug -- fail loudly).
+The launches run on the chaos harness's one restart loop,
+:func:`repro.faultplane.chaos.restart_until_complete`: exit
+:data:`~repro.faultplane.plan.KILL_EXIT_CODE` (injected kill) restarts
+and lets startup recovery repair the queue, exit 0 (the queue drained
+idle) stops, and anything else -- a real bug, a hung launch or an
+exhausted launch budget -- becomes a violation.
 
 Verification after the drain:
 
@@ -49,23 +51,20 @@ Run it directly (CI does, across several seeds)::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from ..errors import JobStateError
-from ..faultplane.plan import ENV_PLAN, KILL_EXIT_CODE, FaultPlan, FaultSpec
+from ..errors import ExecutionError, JobStateError
+from ..faultplane.chaos import cli_argv, restart_until_complete
+from ..faultplane.plan import FaultPlan, FaultSpec
 from .jobs import TERMINAL_STATES, load_job
 from .queue import JobQueue, read_journal
 from .workers import ExecutionDefaults, execute_job
-
-#: Generous per-launch wall-clock bound; a hung service is a failure.
-LAUNCH_TIMEOUT = 600.0
-
 
 #: The poison job's inline netlist (tiny but valid) and canonical name
 #: -- the name keys the always-fire fault site
@@ -174,14 +173,21 @@ def worker_plan(seed: int, crash_prob: float) -> FaultPlan:
 def serve_argv(root: str, *, pool: int, scale: float,
                max_requeues: int, isolation: str = "thread",
                max_crashes: int | None = None) -> list[str]:
-    argv = [sys.executable, "-m", "repro.cli", "serve", "--root", root,
-            "--port", "0", "--pool", str(pool), "--scale", str(scale),
-            "--max-requeues", str(max_requeues), "--lease-seconds", "30",
-            "--drain-after-idle", "--idle-grace", "1.0",
-            "--isolation", isolation]
+    argv = cli_argv("serve", "--root", root, "--port", "0",
+                    "--pool", str(pool), "--scale", str(scale),
+                    "--max-requeues", str(max_requeues),
+                    "--lease-seconds", "30", "--drain-after-idle",
+                    "--idle-grace", "1.0", "--isolation", isolation)
     if max_crashes is not None:
         argv += ["--max-crashes", str(max_crashes)]
     return argv
+
+
+def _progress(label: str, verbose: bool) -> Callable[[str], None] | None:
+    """``-v``: one stderr line per launch, as ``repro-ser chaos -v``."""
+    return (lambda line: print(f"[killloop {label}] {line}",
+                               file=sys.stderr, flush=True)) \
+        if verbose else None
 
 
 def verify(root: str, seeded: dict[str, dict[str, Any]],
@@ -295,29 +301,17 @@ def run_kill_loop(root: str, circuits: list[str], *, seed: int = 0,
 
     argv = serve_argv(root, pool=pool, scale=scale,
                       max_requeues=max_requeues)
-    while result.launches < max_launches:
-        result.launches += 1
-        env = dict(os.environ)
-        env[ENV_PLAN] = kill_plan(seed + result.launches, kill_prob,
-                                  trigger=result.launches).to_json()
-        if verbose:
-            print(f"[killloop seed={seed}] launch {result.launches}",
-                  file=sys.stderr, flush=True)
-        proc = subprocess.run(argv, env=env, timeout=LAUNCH_TIMEOUT,
-                              capture_output=not verbose)
-        if proc.returncode == 0:
-            break
-        if proc.returncode != KILL_EXIT_CODE:
-            stderr = b"" if verbose else proc.stderr
-            result.violations.append(
-                f"launch {result.launches} exited "
-                f"{proc.returncode}: {stderr.decode()[-400:]}")
-            return result
-        result.kills += 1
-    else:
-        result.violations.append(
-            f"queue did not drain within {max_launches} launches")
+    plans = (kill_plan(seed + launch, kill_prob, trigger=launch)
+             for launch in itertools.count(1))
+    try:
+        harness = restart_until_complete(
+            argv, plans, root, max_restarts=max_launches - 1,
+            progress=_progress(f"seed={seed}", verbose))
+    except ExecutionError as exc:
+        result.violations.append(str(exc))
         return result
+    result.launches = len(harness.attempts)
+    result.kills = harness.kills
 
     verify(root, seeded, references, result)
     return result
@@ -359,23 +353,18 @@ def run_worker_kill_loop(root: str, circuits: list[str], *, seed: int = 0,
     argv = serve_argv(root, pool=pool, scale=scale,
                       max_requeues=max_requeues, isolation="process",
                       max_crashes=max_crashes)
-    env = dict(os.environ)
-    env[ENV_PLAN] = worker_plan(seed, crash_prob).to_json()
-    if verbose:
-        print(f"[killloop seed={seed} mode=worker] single launch",
-              file=sys.stderr, flush=True)
-    result.launches = 1
-    proc = subprocess.run(argv, env=env, timeout=LAUNCH_TIMEOUT,
-                          capture_output=not verbose)
-    if proc.returncode != 0:
-        # Worker deaths must never take the server with them; any
-        # non-zero exit here -- including an injected-kill code -- is
+    try:
+        # No restarts: any non-zero exit, the kill code included, is
         # exactly the containment failure this mode exists to catch.
-        stderr = b"" if verbose else proc.stderr
+        harness = restart_until_complete(
+            argv, [worker_plan(seed, crash_prob)], root, max_restarts=0,
+            progress=_progress(f"seed={seed} mode=worker", verbose))
+    except ExecutionError as exc:
         result.violations.append(
-            f"service exited {proc.returncode} (worker faults must not "
-            f"kill the server): {stderr.decode()[-400:]}")
+            f"service failed (worker faults must not kill the server): "
+            f"{exc}")
         return result
+    result.launches = len(harness.attempts)
 
     verify(root, seeded, references, result,
            poison_ids=frozenset({poison_id}))

@@ -9,13 +9,12 @@ All tests here spawn child interpreters and are gated behind
 
 import os
 import subprocess
-import sys
 
 import pytest
 
 from repro.faultplane.chaos import (build_plan, mask_report_times,
-                                    restart_until_complete, run_kill_chaos,
-                                    table1_argv)
+                                    reseeded, restart_until_complete,
+                                    run_kill_chaos, table1_argv)
 from repro.faultplane.plan import KILL_EXIT_CODE, FaultPlan, FaultSpec
 from repro.runtime.manifest import RunManifest
 from repro.runtime.suite import SuiteConfig
@@ -39,8 +38,7 @@ def clean_stdout(manifest_dir):
         os.path.dirname(os.path.abspath(__file__)))), "src")
     env = dict(os.environ, PYTHONPATH=src_root)
     env.pop("REPRO_FAULT_PLAN", None)
-    proc = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
-                          capture_output=True, text=True, env=env,
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -59,7 +57,8 @@ class TestKillAtCheckpoint:
         manifest = os.path.join(workdir, "m.json")
         argv = table1_argv(CIRCUITS, manifest, scale=SCALE,
                            frames=FRAMES, patterns=PATTERNS)
-        result = restart_until_complete(argv, plan, manifest, workdir,
+        result = restart_until_complete(argv, reseeded(plan), workdir,
+                                        manifest_path=manifest,
                                         max_restarts=10)
 
         assert result.kills == len(CIRCUITS)
@@ -84,7 +83,8 @@ class TestKillAtCheckpoint:
         manifest = os.path.join(workdir, "m.json")
         argv = table1_argv(CIRCUITS, manifest, scale=SCALE,
                            frames=FRAMES, patterns=PATTERNS)
-        restart_until_complete(argv, plan, manifest, workdir,
+        restart_until_complete(argv, reseeded(plan), workdir,
+                               manifest_path=manifest,
                                max_restarts=10)
         loaded = RunManifest.load(manifest)
         assert sorted(loaded.completed) == sorted(CIRCUITS)
@@ -105,7 +105,8 @@ class TestKillMidManifestWrite:
         manifest = os.path.join(workdir, "m.json")
         argv = table1_argv(CIRCUITS, manifest, scale=SCALE,
                            frames=FRAMES, patterns=PATTERNS)
-        result = restart_until_complete(argv, plan, manifest, workdir,
+        result = restart_until_complete(argv, reseeded(plan), workdir,
+                                        manifest_path=manifest,
                                         max_restarts=10)
         assert result.kills >= 1
         assert result.torn_manifests == 0

@@ -16,8 +16,9 @@ import os
 
 import pytest
 
-from repro.faultplane.chaos import (build_plan, restart_until_complete,
-                                    run_kill_chaos, table1_argv)
+from repro.faultplane.chaos import (build_plan, reseeded,
+                                    restart_until_complete, run_kill_chaos,
+                                    table1_argv)
 from repro.faultplane.plan import FaultPlan, FaultSpec
 from repro.runtime.manifest import RunManifest
 from repro.runtime.suite import SuiteConfig, run_suite
@@ -55,7 +56,8 @@ class TestParallelKillLoop:
         manifest = os.path.join(workdir, "m.json")
         argv = table1_argv(CIRCUITS, manifest, scale=SCALE,
                            frames=FRAMES, patterns=PATTERNS, workers=2)
-        result = restart_until_complete(argv, plan, manifest, workdir,
+        result = restart_until_complete(argv, reseeded(plan), workdir,
+                                        manifest_path=manifest,
                                         max_restarts=15)
 
         assert result.kills >= 1
@@ -80,7 +82,8 @@ class TestParallelKillLoop:
         manifest = os.path.join(workdir, "m.json")
         argv = table1_argv(CIRCUITS, manifest, scale=SCALE,
                            frames=FRAMES, patterns=PATTERNS, workers=2)
-        result = restart_until_complete(argv, plan, manifest, workdir,
+        result = restart_until_complete(argv, reseeded(plan), workdir,
+                                        manifest_path=manifest,
                                         max_restarts=15)
         assert result.attempts[-1].exit_code == 0
         # completed run leaves no shard-style residue next to the
