@@ -39,16 +39,39 @@ Run with ``pytest benchmarks/bench_flatcore.py --benchmark-only``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from .bench_corpus_scaling import _shape
 from .conftest import once
 
 TARGETS = (1_000, 10_000, 100_000)
+
+
+def _shape(family: str, n: int) -> dict:
+    """Generator params putting ``family`` near ``n`` gates."""
+    if family == "pipeline":
+        width = 100
+        return {"stages": max(2, n // width), "width": width}
+    if family == "fsm_datapath":
+        width = 100
+        return {"state_bits": 6, "stages": max(1, n // width),
+                "width": width}
+    if family == "tree":
+        return {"leaves": n, "reg_every": 2}
+    if family == "mesh":
+        side = max(2, round(math.sqrt(n)))
+        return {"rows": side, "cols": side}
+    if family == "cslow":
+        side = max(2, round(math.sqrt(n)))
+        return {"c": 2, "base_family": "mesh",
+                "base_params": {"rows": side, "cols": side}}
+    if family == "random":
+        return {"n_gates": n, "n_dffs": max(8, n // 12)}
+    raise ValueError(family)
 
 #: Analysis depth for the timed stages.  Small on purpose: stage cost
 #: is linear in frames x patterns for both cores, so the ratio -- the

@@ -6,10 +6,9 @@ tracing to JSONL, access logging, and the 100 Hz sampling profiler) --
 and reports the wall-clock difference.  The hard gate is *correctness*,
 not timing: every job's result digest must be byte-identical between
 the two runs, proving observability is an execution knob that never
-touches answers.  (The tracing-*disabled* overhead gate lives in
-:mod:`benchmarks.bench_runtime_overhead`: with no tracer installed
-every instrumentation point is a single ``None`` test, so the
-resilient-suite measurement there covers the off path's < 2 % target.)
+touches answers.  Each job runs
+:func:`repro.runtime.suite.optimize_resilient`, the one per-circuit
+flow, so this is where the traced cost of that flow is measured.
 
 Timing numbers land in ``benchmarks/results/BENCH_observability.json``
 when run as a script::
@@ -139,8 +138,7 @@ def test_service_observability_digest_parity(benchmark, tmp_path):
                                 rounds=1, iterations=1, warmup_rounds=0)
     # Parity is asserted inside measure(); overhead is reported, not
     # gated -- a 2-thread service on a noisy CI box cannot carry a
-    # stable timing gate, and the tracing-off gate already lives in
-    # bench_runtime_overhead.
+    # stable timing gate.
     assert result["digest_parity"]
 
 

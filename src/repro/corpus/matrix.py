@@ -139,7 +139,7 @@ def scenario_config(tier: str, scenario: Scenario,
         algorithms=scenario.solver.algorithms,
         maximal_start=scenario.solver.maximal_start,
         max_retries=max_retries,
-        guard=True, guard_cycles=8, guard_patterns=32,
+        guard=True,
         workers=workers, cache=cache, cache_dir=cache_dir,
         trace_path=trace_path)
 

@@ -4,8 +4,8 @@ Every instrumented module calls :func:`fault_point` (or one of the
 ``filter_*`` variants) at its named injection sites.  In production no
 injector is installed, so each call is a single module-global ``None``
 check -- the sites compile to a no-op and the instrumented pipeline is
-bit-identical to an uninstrumented one (certified by
-``benchmarks/bench_runtime_overhead.py`` and the chaos test suite).
+bit-identical to an uninstrumented one (certified by the chaos test
+suite).
 
 This module is deliberately dependency-free (no imports from the rest of
 :mod:`repro`), so any layer -- :mod:`repro.core`, :mod:`repro.sim`, the

@@ -14,27 +14,30 @@ Replicates the paper's experimental procedure (Sec. VI):
    moves allow) and evaluate eq. (4) with real ELWs;
 6. report the Table I columns: register-count change, solver runtime,
    iteration count #J, and SER change relative to the original circuit.
+
+The stages run in :func:`repro.runtime.suite.optimize_resilient`, the
+one per-circuit flow; this module holds their helpers, the result types
+and :func:`optimize_circuit`, the flow's strict entry point.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core.constraints import Problem, gains
-from .core.initialization import InitialRetiming, initialize
+from .core.initialization import InitialRetiming
 from .core.minobs import minobs_retiming
 from .core.minobswin import RetimingResult, minobswin_retiming
 from .errors import RetimingError
 from .graph.retiming_graph import RetimingGraph
 from .netlist.circuit import Circuit
-from .netlist.validate import validate_circuit
 from .retime.apply import apply_retiming
 from .retime.verify import forward_initial_states
-from .ser.analysis import SerAnalysis, analyze_ser
+from .ser.analysis import SerAnalysis
 from .sim.odc import observability
 
 #: The retiming solvers :func:`run_solver` dispatches, by name.
@@ -111,20 +114,18 @@ def build_problem(graph: RetimingGraph, init: InitialRetiming,
 
 def run_solver(problem: Problem, r0: np.ndarray, algorithm: str,
                restart: bool = True, deadline: float | None = None,
-               should_stop: Callable[[], bool] | None = None,
                ) -> RetimingResult:
     """Stage 4: dispatch one solver by name.
 
-    ``deadline`` / ``should_stop`` are the cooperative-cancellation hooks
-    of :func:`repro.core.minobswin.minobswin_retiming`.
+    ``deadline`` is the cooperative-cancellation budget of
+    :func:`repro.core.minobswin.minobswin_retiming`.
     """
     if algorithm == "minobs":
         return minobs_retiming(problem, r0, restart=restart,
-                               deadline=deadline, should_stop=should_stop)
+                               deadline=deadline)
     if algorithm == "minobswin":
         return minobswin_retiming(problem, r0, restart=restart,
-                                  deadline=deadline,
-                                  should_stop=should_stop)
+                                  deadline=deadline)
     raise RetimingError(f"unknown algorithm {algorithm!r}")
 
 
@@ -135,9 +136,12 @@ def optimize_circuit(circuit: Circuit,
                      maximal_start: bool = False,
                      restart: bool = True,
                      deadline: float | None = None,
-                     should_stop: Callable[[], bool] | None = None,
                      ) -> PipelineResult:
     """Run the full Sec. VI experimental flow on one circuit.
+
+    A strict, unguarded call of
+    :func:`repro.runtime.suite.optimize_resilient`: the first failure
+    propagates instead of degrading.
 
     Parameters
     ----------
@@ -150,41 +154,20 @@ def optimize_circuit(circuit: Circuit,
     maximal_start, restart:
         Solver options (see :mod:`repro.core.initialization` and
         :mod:`repro.core.minobswin`).
-    deadline, should_stop:
-        Per-solver-call cancellation hooks; an expired deadline raises
+    deadline:
+        Per-solver-call budget in seconds; an expired deadline raises
         :class:`~repro.errors.DeadlineExceeded` carrying the best
         feasible retiming found so far.  For degradation instead of an
         exception use :func:`repro.runtime.suite.optimize_resilient`.
     """
-    validate_circuit(circuit)
-    setup = circuit.library.setup_time
-    hold = circuit.library.hold_time
-    graph = RetimingGraph.from_circuit(circuit)
+    from .runtime.suite import SuiteConfig, optimize_resilient
 
-    obs, obs_runtime = compute_observability(
-        circuit, n_frames=n_frames, n_patterns=n_patterns, seed=seed)
-
-    init = initialize(graph, setup, hold, epsilon,
-                      maximal_start=maximal_start)
-    ser_original = analyze_ser(circuit, init.phi, setup, hold, obs=obs)
-    problem = build_problem(graph, init, obs, n_patterns, setup, hold)
-
-    result = PipelineResult(
-        name=circuit.name, vertices=graph.n_vertices - 1,
-        edges=graph.n_edges, registers=graph.register_count(),
-        init=init, ser_original=ser_original, obs=obs,
-        obs_runtime=obs_runtime)
-
-    for algorithm in algorithms:
-        solved = run_solver(problem, init.r0, algorithm, restart=restart,
-                            deadline=deadline, should_stop=should_stop)
-        retimed = rebuild_retimed(circuit, graph, solved.r,
-                                  name=f"{circuit.name}_{algorithm}")
-        ser = analyze_ser(retimed, init.phi, setup, hold, obs=obs)
-        result.outcomes[algorithm] = AlgorithmOutcome(
-            result=solved, circuit=retimed, ser=ser,
-            registers=retimed.n_dffs)
-    return result
+    config = SuiteConfig(
+        circuits=(circuit.name,), seed=seed, n_frames=n_frames,
+        n_patterns=n_patterns, epsilon=epsilon, algorithms=algorithms,
+        maximal_start=maximal_start, restart=restart, deadline=deadline,
+        strict=True, guard=False)
+    return optimize_resilient(circuit, config).result
 
 
 def rebuild_retimed_states(circuit: Circuit, graph: RetimingGraph,

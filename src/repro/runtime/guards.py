@@ -103,11 +103,18 @@ def default_flush_cycles(graph: RetimingGraph, r: np.ndarray,
     return min(cap, moved + depth + 2)
 
 
+#: Post-flush cycles every guarded solve co-simulates.
+GUARD_CYCLES = 8
+#: Width of the guard's shared random input trace.
+GUARD_PATTERNS = 32
+
+
 def verify_retimed(original: Circuit, retimed: Circuit,
                    graph: RetimingGraph, r: np.ndarray, phi: float,
                    setup: float = 0.0, *, exact_states: bool = True,
-                   flush_cycles: int | None = None, check_cycles: int = 8,
-                   n_patterns: int = 32, seed: int = 0,
+                   flush_cycles: int | None = None,
+                   check_cycles: int = GUARD_CYCLES,
+                   n_patterns: int = GUARD_PATTERNS, seed: int = 0,
                    eps: float = 1e-6) -> GuardReport:
     """Run every post-retime guard check; never raises on failure.
 

@@ -1,18 +1,19 @@
-"""Crash-isolated suite runs: the resilient Table I flow.
+"""Crash-isolated suite runs: the Table I flow.
 
-:func:`optimize_resilient` is the fault-tolerant twin of
-:func:`repro.pipeline.optimize_circuit`: every expensive stage runs
-through the executor's retry/degradation ladder
-(:mod:`repro.runtime.executor`), so one infeasible circuit, runaway
-solve or simulation hiccup yields a usable, clearly-labeled row instead
-of aborting the experiment:
+:func:`optimize_resilient` is the one per-circuit flow (stages 1-6 of
+:mod:`repro.pipeline`); :func:`repro.pipeline.optimize_circuit` is its
+strict, unguarded call.  Every expensive stage runs through the
+executor's retry/degradation ladder (:mod:`repro.runtime.executor`), so
+one infeasible circuit, runaway solve or simulation hiccup yields a
+usable, clearly-labeled row instead of aborting the experiment:
 
 * observability simulation -- bounded retry with reseeding;
 * Sec. V initialization -- exact (setup+hold) R_min, degrading to the
   zero-retiming / degenerate-R_min configuration;
 * each solver -- ``minobswin -> minobs -> identity`` (a deadline expiry
   first recovers the solver's best feasible retiming as a
-  ``:partial`` result before degrading further);
+  ``:partial`` result before degrading further; ``strict`` runs raise
+  the :class:`~repro.errors.DeadlineExceeded` carrying it instead);
 * rebuild + SER -- guarded by :mod:`repro.runtime.guards`; quarantined
   (non-equivalent) results degrade like any other failure.
 
@@ -57,7 +58,8 @@ from ..ser.analysis import analyze_ser
 from ..telemetry import REGISTRY, MetricsRegistry, Tracer
 from ..telemetry import spans as telemetry
 from .executor import Attempt, FailureRecord, run_ladder
-from .guards import GuardReport, verify_retimed
+from .guards import (GUARD_CYCLES, GUARD_PATTERNS, GuardReport,
+                     verify_retimed)
 from .manifest import CircuitRecord, RunManifest
 
 #: Seed stride between observability reseed attempts (any odd prime-ish
@@ -154,7 +156,6 @@ def cached_run_solver(circuit: Circuit, problem, r0: np.ndarray,
 def cached_verify_retimed(original: Circuit, retimed: Circuit,
                           graph: RetimingGraph, r: np.ndarray, phi: float,
                           setup: float, *, exact_states: bool,
-                          check_cycles: int, n_patterns: int,
                           seed: int) -> GuardReport:
     """Analysis-cached post-retime guard (kind ``"guard"``).
 
@@ -164,9 +165,7 @@ def cached_verify_retimed(original: Circuit, retimed: Circuit,
     """
     def compute() -> GuardReport:
         return verify_retimed(original, retimed, graph, r, phi, setup,
-                              exact_states=exact_states,
-                              check_cycles=check_cycles,
-                              n_patterns=n_patterns, seed=seed)
+                              exact_states=exact_states, seed=seed)
 
     with telemetry.span("verify"):
         if hooks.active() is not None:
@@ -175,8 +174,8 @@ def cached_verify_retimed(original: Circuit, retimed: Circuit,
                   "r": [int(x) for x in r], "phi": float(phi),
                   "setup": float(setup),
                   "exact_states": bool(exact_states),
-                  "check_cycles": int(check_cycles),
-                  "n_patterns": int(n_patterns), "seed": int(seed)}
+                  "check_cycles": GUARD_CYCLES,
+                  "n_patterns": GUARD_PATTERNS, "seed": int(seed)}
         return cached("guard", timing_digest(original), params,
                       compute=compute,
                       encode=lambda report: report.to_dict(),
@@ -192,10 +191,10 @@ def cached_verify_retimed(original: Circuit, retimed: Circuit,
 class SuiteConfig:
     """Configuration of one resilient suite run.
 
-    The experiment knobs mirror :func:`repro.pipeline.optimize_circuit`;
-    the resilience knobs (``deadline``, ``max_retries``, ``strict``,
-    ``guard``) control failure handling only and therefore do not enter
-    the manifest fingerprint.
+    The experiment knobs (``circuits`` through ``restart``) determine the
+    result; the resilience knobs (``deadline``, ``max_retries``,
+    ``strict``, ``guard``) control failure handling only and therefore do
+    not enter the manifest fingerprint.
     """
 
     circuits: tuple[str, ...]
@@ -215,8 +214,6 @@ class SuiteConfig:
     strict: bool = False
     #: Run the post-retime verification guard on every solver result.
     guard: bool = True
-    guard_cycles: int = 8
-    guard_patterns: int = 32
     #: Worker processes for :func:`run_suite` (1 = in-process serial).
     #: An execution knob like ``deadline``: the parallel path
     #: produces a manifest with the same ``result_checksum`` as a serial
@@ -506,6 +503,12 @@ def _optimize_resilient(circuit: Circuit,
         problem = build_problem(graph, init, obs, config.n_patterns,
                                 setup, hold)
         original_registers = graph.register_count()
+        # The original circuit's ELWs, computed by the first rung that
+        # rebuilds a retiming and reused by every later rung and
+        # algorithm (a failure still lands inside that rung's ladder).
+        @functools.cache
+        def elws_of_original():
+            return circuit_elws(circuit, init.phi, setup, hold)
 
         def make_rung(solver: str, algorithm: str):
             def attempt(ctx: Attempt) -> AlgorithmRun:
@@ -522,7 +525,7 @@ def _optimize_resilient(circuit: Circuit,
                         deadline=ctx.deadline.remaining(),
                         obs=obs, n_patterns=config.n_patterns)
                 except DeadlineExceeded as exc:
-                    if exc.partial is None:
+                    if config.strict or exc.partial is None:
                         raise
                     ctx.record(exc, "partial-result")
                     solved = exc.partial
@@ -534,10 +537,7 @@ def _optimize_resilient(circuit: Circuit,
                 if config.guard and solved.r.any():
                     guard = cached_verify_retimed(
                         circuit, retimed, graph, solved.r, init.phi,
-                        setup, exact_states=exact,
-                        check_cycles=config.guard_cycles,
-                        n_patterns=config.guard_patterns,
-                        seed=config.seed)
+                        setup, exact_states=exact, seed=config.seed)
                     guard_dict = guard.to_dict()
                     guard.raise_if_failed(f"{name}/{label}")
                 # Incremental ELW reuse: the retimed rebuild shares every
@@ -545,8 +545,7 @@ def _optimize_resilient(circuit: Circuit,
                 # from the original's ELWs and recomputes only the cones
                 # the register moves disturbed.
                 elws, inc = incremental_circuit_elws(
-                    retimed, circuit,
-                    circuit_elws(circuit, init.phi, setup, hold),
+                    retimed, circuit, elws_of_original(),
                     init.phi, setup, hold)
                 elw_inc["reused"] += inc["reused"]
                 elw_inc["recomputed"] += inc["recomputed"]

@@ -101,7 +101,7 @@ class ServiceConfig:
     verbose: bool = False
     #: Request-scoped tracing: append the service's span stream (HTTP
     #: request spans, per-job lifecycle spans, absorbed sandbox shards)
-    #: to this JSONL file.  ``None`` = tracing off (the <2 % path).
+    #: to this JSONL file.  ``None`` = tracing off.
     trace_path: str | None = None
     #: Structured JSONL access log carrying trace/job ids per request.
     access_log: str | None = None

@@ -10,8 +10,8 @@ is the single substrate they all feed:
   tracer (context-manager API, nested spans, monotonic clocks, span
   attributes) writing append-only JSONL trace files.  Installed like the
   fault plane's injector: a module global that every instrumented call
-  checks with one ``None`` test, so tracing off costs nothing
-  measurable (certified by ``benchmarks/bench_runtime_overhead.py``).
+  checks with one ``None`` test; the traced cost is measured by
+  ``benchmarks/bench_observability.py``.
 * :mod:`repro.telemetry.metrics` -- a process-wide registry of
   counters, gauges and fixed-bucket histograms with a JSON dump and a
   Prometheus-style text exposition writer.  Always on (increments are

@@ -34,8 +34,8 @@ Installation mirrors :mod:`repro.faultplane.hooks`: a module-global
 tracer that every instrumented call checks with a single ``None`` test.
 With no tracer installed, :func:`span` returns a shared no-op context
 manager and :func:`event` returns immediately -- the instrumented
-pipeline stays bit-identical and within the <2 % overhead budget of
-``benchmarks/bench_runtime_overhead.py``.
+pipeline stays bit-identical.  The traced cost is measured by
+``benchmarks/bench_observability.py``.
 
 Parallel runs: each suite task traces to a per-circuit sibling file
 with a span-id prefix that keeps ids globally unique, and the parent

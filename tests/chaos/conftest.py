@@ -29,10 +29,10 @@ def micro_factory(name):
 @pytest.fixture
 def cfg():
     return SuiteConfig(circuits=("alpha", "beta"), seed=0, n_frames=3,
-                       n_patterns=32, guard_patterns=16)
+                       n_patterns=32)
 
 
 @pytest.fixture
 def micro_cfg():
     return SuiteConfig(circuits=("mu", "nu"), seed=0, n_frames=3,
-                       n_patterns=16, guard_patterns=16)
+                       n_patterns=16)

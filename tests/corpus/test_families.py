@@ -18,6 +18,21 @@ from repro.errors import NetlistError
 from repro.graph.retiming_graph import RetimingGraph
 from repro.netlist.validate import validate_circuit
 
+#: One spec per family sized for ~10^3 gates: the generators' size
+#: contract is that each lands within 25% of its gate target.
+KILO_GATES = 1_000
+KILO_SPECS = tuple(
+    CircuitSpec(name=f"{family}_1k", family=family, params=params)
+    for family, params in (
+        ("pipeline", {"stages": 10, "width": 100}),
+        ("fsm_datapath", {"state_bits": 6, "stages": 10, "width": 100}),
+        ("tree", {"leaves": 1000, "reg_every": 2}),
+        ("mesh", {"rows": 32, "cols": 32}),
+        ("random", {"n_gates": 1000, "n_dffs": 83}),
+        ("cslow", {"c": 2, "base_family": "mesh",
+                   "base_params": {"rows": 32, "cols": 32}}),
+    ))
+
 
 class TestRegistry:
     def test_every_family_has_a_small_tier_member(self):
@@ -48,7 +63,7 @@ class TestRegistry:
 
 
 class TestBuilds:
-    @pytest.mark.parametrize("spec", TIERS["small"],
+    @pytest.mark.parametrize("spec", TIERS["small"] + KILO_SPECS,
                              ids=lambda s: s.name)
     def test_small_tier_builds_validate(self, spec):
         circuit = build_circuit(spec)
@@ -56,6 +71,8 @@ class TestBuilds:
         graph = RetimingGraph.from_circuit(circuit)
         assert graph.cycles_have_registers()
         assert circuit.name == spec.name
+        if spec in KILO_SPECS:
+            assert abs(circuit.n_gates - KILO_GATES) <= 0.25 * KILO_GATES
 
     def test_builds_are_deterministic(self):
         spec = TIERS["small"][0]

@@ -24,7 +24,6 @@ GOLDEN_KNOBS = dict(
     seed=0,
     n_frames=3,
     n_patterns=64,
-    guard_patterns=32,
 )
 
 

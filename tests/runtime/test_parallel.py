@@ -25,8 +25,7 @@ from repro.runtime.suite import SuiteConfig, run_suite
 
 NAMES = ("ant", "bee", "cat", "dog", "elk", "fox")
 
-CFG = SuiteConfig(circuits=NAMES, seed=0, n_frames=3, n_patterns=32,
-                  guard_patterns=16)
+CFG = SuiteConfig(circuits=NAMES, seed=0, n_frames=3, n_patterns=32)
 
 
 def grid_factory(name):
@@ -76,7 +75,7 @@ class TestDeterministicMerge:
 
     def test_single_circuit_stays_serial(self):
         cfg = SuiteConfig(circuits=("ant",), seed=0, n_frames=3,
-                          n_patterns=32, guard_patterns=16)
+                          n_patterns=32)
         # killer_factory would nuke a worker; in-process it must not run
         result = run_suite(cfg, circuit_factory=grid_factory, workers=8)
         assert [run.name for run in result.runs] == ["ant"]

@@ -8,7 +8,8 @@ import pytest
 
 from repro import cache as analysis_cache
 from repro.circuits import random_sequential_circuit
-from repro.errors import ManifestError, RetimingError, TimingError
+from repro.errors import (DeadlineExceeded, ManifestError, RetimingError,
+                          TimingError)
 from repro.runtime import suite as suite_mod
 from repro.runtime.suite import (SuiteConfig, optimize_resilient,
                                  run_suite)
@@ -23,7 +24,7 @@ def tiny_factory(name):
 
 
 CFG = SuiteConfig(circuits=("alpha", "beta"), seed=0, n_frames=3,
-                  n_patterns=32, guard_patterns=16)
+                  n_patterns=32)
 
 
 def mask_times(report: str) -> str:
@@ -103,6 +104,17 @@ class TestOptimizeResilient:
         assert math.isfinite(run.row["new_ser"])
         assert "s13207" in format_comparison([run.row])
 
+    def test_strict_deadline_raises_with_partial(self):
+        """Strict runs propagate the expiry instead of keeping a
+        ``:partial`` row; the exception still carries the retiming."""
+        from repro.circuits.suites import table1_circuit
+
+        circuit = table1_circuit("s13207", scale=0.004, seed=0)
+        with pytest.raises(DeadlineExceeded) as info:
+            optimize_resilient(circuit, replace(CFG, deadline=1e-4,
+                                                strict=True))
+        assert info.value.partial is not None
+
 
 class TestRunSuite:
     def test_all_circuits_produce_rows(self):
@@ -126,7 +138,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(suites, "table1_circuit", spy)
         config = SuiteConfig(circuits=("s13207",), seed=0, n_frames=2,
-                             n_patterns=32, guard_patterns=16)
+                             n_patterns=32)
         result = run_suite(config)
         assert requested == [suites.DEFAULT_SCALE]
         assert result.runs[0].status == "ok"

@@ -17,8 +17,7 @@ from repro.runtime.suite import SuiteConfig, run_suite
 
 NAMES = ("ant", "bee", "cat")
 
-CFG = SuiteConfig(circuits=NAMES, seed=0, n_frames=3, n_patterns=32,
-                  guard_patterns=16)
+CFG = SuiteConfig(circuits=NAMES, seed=0, n_frames=3, n_patterns=32)
 
 
 def grid_factory(name):

@@ -19,8 +19,7 @@ from repro.telemetry import spans as telemetry
 
 NAMES = ("ant", "bee", "cat")
 
-CFG = SuiteConfig(circuits=NAMES, seed=0, n_frames=3, n_patterns=32,
-                  guard_patterns=16)
+CFG = SuiteConfig(circuits=NAMES, seed=0, n_frames=3, n_patterns=32)
 
 STAGES = ("prepare", "observability", "initialize", "ser-original",
           "solve:minobs", "solve:minobswin")

@@ -149,6 +149,11 @@ class TestTable1Resilience:
         assert "partial" in captured.out  # footnote spells out the status
         assert "warning:" in captured.err
 
+    def test_strict_deadline_is_an_error(self, capsys):
+        code = main(self.ARGS + ["--strict", "--deadline", "0.0001"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_resume_creates_and_reuses_manifest(self, tmp_path, capsys):
         manifest = str(tmp_path / "run.json")
         assert main(self.ARGS + ["--resume", manifest]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import random_sequential_circuit
-from repro.errors import RetimingError
+from repro.errors import DeadlineExceeded, RetimingError
 from repro.pipeline import optimize_circuit, table1_row
 
 
@@ -74,6 +74,16 @@ class TestOptimizeCircuit:
         with pytest.raises(RetimingError):
             optimize_circuit(circuit, algorithms=("magic",), n_frames=2,
                              n_patterns=64)
+
+    def test_expired_deadline_raises_with_partial_retiming(self):
+        circuit = random_sequential_circuit(
+            "late", n_gates=60, n_dffs=18, seed=3)
+        with pytest.raises(DeadlineExceeded) as info:
+            optimize_circuit(circuit, n_frames=2, n_patterns=64,
+                             deadline=0.0)
+        partial = info.value.partial
+        assert partial is not None
+        assert len(partial.r) == len(circuit.gates) + 1
 
     def test_minobswin_never_below_minobs_objective(self, pipeline_result):
         """MinObsWin solves a more constrained problem: its objective is
