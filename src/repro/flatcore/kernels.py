@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.intervals import IntervalSet
-from ..errors import FlatCoreError, SimulationError
+from ..errors import SimulationError
+from ..ser.rates import RATE_UNIT
 from ..sim.bitvec import _tail_mask, n_words, popcount
 from .arena import IN_INVERT, OUT_INVERT, XOR_FAMILY, FlatCircuit
 
@@ -119,28 +120,29 @@ def _draw_inputs(rng: np.random.Generator, n_inputs: int, words: int,
 
 
 def record_frames_flat(flat: FlatCircuit, n_frames: int, n_patterns: int,
-                       warmup: int, rng: np.random.Generator,
+                       rng: np.random.Generator,
                        ) -> list[np.ndarray]:
     """Matrix-native replacement for ``repro.sim.odc._record_frames``.
 
-    Runs the warmup and recorded cycles entirely on ``[n_rows, words]``
-    matrices -- no per-net dicts, no per-register copies.  Bit-identity
-    with the object recorder holds because the RNG stream is drawn
-    identically (one :func:`random_patterns` call per primary input, in
-    declaration order, per cycle) and the register clocking rule is the
-    same gather (``registers = values[dff_d]``) the object simulator
-    expresses one ``.copy()`` at a time.
+    Runs the ``n_frames`` warmup and ``n_frames`` recorded cycles
+    entirely on ``[n_rows, words]`` matrices -- no per-net dicts, no
+    per-register copies.  Bit-identity with the object recorder holds
+    because the RNG stream is drawn identically (one
+    :func:`random_patterns` call per primary input, in declaration
+    order, per cycle) and the register clocking rule is the same gather
+    (``registers = values[dff_d]``) the object simulator expresses one
+    ``.copy()`` at a time.
     """
     words = n_words(n_patterns)
     tail = _tail_mask(n_patterns)
     n_inputs = flat.n_inputs
     value_matrix, registers = _reset_matrix(flat, words, tail)
     frames: list[np.ndarray] = []
-    for cycle in range(warmup + n_frames):
+    for cycle in range(2 * n_frames):
         if n_inputs:
             value_matrix[:n_inputs] = _draw_inputs(rng, n_inputs, words, tail)
         _level_sweep(flat, value_matrix, tail)
-        if cycle >= warmup:
+        if cycle >= n_frames:
             frames.append(value_matrix.copy())
         registers[:] = value_matrix[flat.dff_d]
     return frames
@@ -467,8 +469,8 @@ def circuit_elws_flat(flat: FlatCircuit,
 # ----------------------------------------------------------------------
 
 def ser_totals_flat(flat: FlatCircuit, obs_full: Mapping[str, float],
-                    elws: Mapping[str, IntervalSet], model_name: str,
-                    unit: float, base_reg_err: float, phi: float,
+                    elws: Mapping[str, IntervalSet], reg_err: float,
+                    phi: float,
                     ) -> tuple[dict[str, float], float, float, float]:
     """Vectorized eq. (4) aggregation.
 
@@ -476,21 +478,15 @@ def ser_totals_flat(flat: FlatCircuit, obs_full: Mapping[str, float],
     object loop in ``repro.ser.analysis._analyze_ser_impl`` computes
     them: per-element products are elementwise float64 (bit-identical
     to Python scalar arithmetic), the running sums accumulate
-    sequentially in declaration order.
+    sequentially in declaration order.  ``reg_err`` is the register
+    cell's raw rate; gate rates are the library's, scaled by
+    :data:`~repro.ser.rates.RATE_UNIT`.
     """
     n_inputs, n_gates = flat.n_inputs, flat.n_gates
     gate_names = flat.names[n_inputs:n_inputs + n_gates]
     dff_names = flat.names[n_inputs + n_gates:]
 
-    if model_name == "library":
-        err = flat.gate_raw_ser * unit
-    elif model_name == "uniform":
-        err = np.full(n_gates, unit, dtype=np.float64)
-    elif model_name == "area":
-        err = (flat.arity + 1.0) * unit
-    else:
-        raise FlatCoreError(f"no flat evaluator for rate model "
-                            f"{model_name!r}")
+    err = flat.gate_raw_ser * RATE_UNIT
     obs_arr = np.array([obs_full[name] for name in gate_names],
                        dtype=np.float64)
     meas = np.array([elws[name].measure for name in gate_names],
@@ -511,8 +507,8 @@ def ser_totals_flat(flat: FlatCircuit, obs_full: Mapping[str, float],
                        dtype=np.float64)
     dff_meas = np.array([elws[name].measure for name in dff_names],
                         dtype=np.float64)
-    dff_values = dff_obs * base_reg_err * (dff_meas / phi)
-    dff_no_timing = dff_obs * base_reg_err
+    dff_values = dff_obs * reg_err * (dff_meas / phi)
+    dff_no_timing = dff_obs * reg_err
     for name, value in zip(dff_names, dff_values.tolist()):
         per_element[name] = value
         reg += value

@@ -7,7 +7,7 @@ without this package (the solvers take plain ``deadline`` /
 ``should_stop`` arguments); everything here builds on top of them.
 """
 
-from .deadline import Deadline, budget_seconds
+from .deadline import Deadline
 from .executor import (NON_RETRYABLE, Attempt, FailureRecord, Rung,
                        StageOutcome, run_ladder)
 from .guards import GuardReport, default_flush_cycles, verify_retimed
@@ -17,7 +17,7 @@ from .suite import (AlgorithmRun, CircuitRun, SuiteConfig, SuiteResult,
                     optimize_resilient, run_suite)
 
 __all__ = [
-    "Deadline", "budget_seconds",
+    "Deadline",
     "NON_RETRYABLE", "Attempt", "FailureRecord", "Rung", "StageOutcome",
     "run_ladder",
     "GuardReport", "default_flush_cycles", "verify_retimed",

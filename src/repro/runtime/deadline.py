@@ -9,7 +9,6 @@ produces via :meth:`Deadline.remaining` and :meth:`Deadline.as_should_stop`.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Callable
 
@@ -77,16 +76,3 @@ class Deadline:
         budget = "inf" if self.budget is None else f"{self.budget:g}s"
         return f"Deadline(budget={budget}, elapsed={self.elapsed():.3f}s)"
 
-
-def budget_seconds(deadline: "Deadline | float | None") -> float | None:
-    """Normalize a deadline-ish value to remaining seconds (or None).
-
-    Accepts a :class:`Deadline`, a plain number of seconds, ``math.inf``
-    or ``None``; used by call sites that take either form.
-    """
-    if deadline is None:
-        return None
-    if isinstance(deadline, Deadline):
-        return deadline.remaining()
-    value = float(deadline)
-    return None if math.isinf(value) else value

@@ -52,6 +52,15 @@ the parent's trace file (``<trace>.circuit-N.jsonl``, span ids prefixed
 ``cN-`` by the circuit's canonical index N), and the parent folds those
 files into its own trace with :meth:`~repro.telemetry.Tracer.absorb`
 in canonical order.
+
+Metrics
+-------
+Each task counts into its worker's own metrics registry, and its record
+carries that circuit's delta in ``report["perf"]["metrics"]``.  The
+parent merges the delta of every freshly computed record into its own
+registry (resumed records were counted by the run that computed them),
+so ``--metrics-out`` dumps the same counters and histogram counts as a
+serial run.
 """
 
 from __future__ import annotations
@@ -68,7 +77,7 @@ from ..errors import ExecutionError, WorkerCrashError
 from ..faultplane import hooks
 from ..faultplane.plan import FaultInjector, FaultPlan, derive_job_plan
 from ..netlist.circuit import Circuit
-from ..telemetry import Tracer
+from ..telemetry import REGISTRY, Tracer
 from ..telemetry import spans as telemetry
 from .manifest import CircuitRecord
 from .suite import (CircuitRun, SuiteConfig, SuiteResult, checkpoint,
@@ -228,6 +237,10 @@ def run_parallel_suite(config: SuiteConfig, manifest_path: str | None,
                     continue
                 record = CircuitRecord.from_dict(name, data)
                 records[name] = record
+                # The worker counted into its own registry; fold its
+                # delta in so --metrics-out sees what a serial run sees.
+                REGISTRY.merge(
+                    (record.report or {}).get("perf", {}).get("metrics", {}))
                 if stats is not None:
                     fault_stats[name] = stats
                 checkpoint(manifest, manifest_path, record, config,

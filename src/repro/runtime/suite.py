@@ -614,7 +614,6 @@ def run_suite(config: SuiteConfig,
               progress: Callable[[str], None] | None = None,
               circuit_factory: Callable[[str], Circuit] | None = None,
               workers: int | None = None,
-              progress_events: Callable[[str, str], None] | None = None,
               ) -> SuiteResult:
     """Run a benchmark suite with crash isolation and checkpointing.
 
@@ -643,16 +642,10 @@ def run_suite(config: SuiteConfig,
         to the per-circuit process pool of :mod:`repro.runtime.parallel`,
         which produces the same rows and a manifest with the same
         ``result_checksum`` as the serial path.
-    progress_events:
-        Optional structured progress callback ``(circuit_name, line)``;
-        receives the same lines as ``progress`` tagged with the circuit
-        they belong to.
     """
     def note(circuit: str, message: str) -> None:
         if progress is not None:
             progress(message)
-        if progress_events is not None:
-            progress_events(circuit, message)
 
     if circuit_factory is None:
         circuit_factory = default_circuit_factory(config)

@@ -10,7 +10,7 @@
   and optimization consistent (Sec. II-B / III-B).
 * ``|ELW|`` is the *exact* interval-union measure of eq. (3) (the paper:
   "when doing the SER analysis, we compute the real size of the ELW");
-* ``err`` comes from a :class:`~repro.ser.rates.RateModel`.
+* ``err`` is the cell library's raw rate (:mod:`repro.ser.rates`).
 
 Retiming invariance of gate observability is what lets one observability
 run serve both the original and every retimed circuit: pass the original
@@ -31,7 +31,7 @@ from ..faultplane.hooks import fault_point
 from ..netlist.circuit import Circuit
 from ..sim.odc import observability
 from ..telemetry import spans as telemetry
-from .rates import RateModel
+from .rates import raw_rates, register_rate
 
 
 @dataclass
@@ -102,11 +102,8 @@ def _decode_ser(payload: dict) -> SerAnalysis:
 def analyze_ser(circuit: Circuit, phi: float,
                 setup: float | None = None, hold: float | None = None,
                 obs: Mapping[str, float] | None = None,
-                rate_model: RateModel | str = "library",
                 n_frames: int = 15, n_patterns: int = 256,
                 seed: int = 0,
-                electrical_tau: float | None = None,
-                latch_width: float = 1.0,
                 elws: Mapping[str, IntervalSet] | None = None,
                 ) -> SerAnalysis:
     """Compute the SER of ``circuit`` at clock period ``phi`` (eq. 4).
@@ -120,17 +117,8 @@ def analyze_ser(circuit: Circuit, phi: float,
         it is computed on ``circuit`` itself; pass the original circuit's
         map when analyzing a retimed version (gate observabilities are
         retiming-invariant, Sec. III-B).
-    rate_model, n_frames, n_patterns, seed:
-        See :mod:`repro.ser.rates` and :mod:`repro.sim.odc`.
-    electrical_tau:
-        When set, raw rates are additionally derated by the electrical
-        masking factor of :mod:`repro.sim.electrical` (inertial pulse
-        attenuation with exponential strike widths of mean ``tau``).
-        The paper's experiments leave this off (its eq. 4 covers logic
-        and timing masking only).
-    latch_width:
-        Minimal pulse width a register can sample (used with
-        ``electrical_tau``).
+    n_frames, n_patterns, seed:
+        See :mod:`repro.sim.odc`.
     elws:
         Precomputed per-net ELWs (must match ``(phi, setup, hold)``);
         pass the output of
@@ -149,13 +137,10 @@ def analyze_ser(circuit: Circuit, phi: float,
         setup = circuit.library.setup_time
     if hold is None:
         hold = circuit.library.hold_time
-    if isinstance(rate_model, str):
-        rate_model = RateModel(rate_model)
 
     def compute() -> SerAnalysis:
         return _analyze_ser_impl(circuit, phi, setup, hold, obs,
-                                 rate_model, n_frames, n_patterns, seed,
-                                 electrical_tau, latch_width, elws)
+                                 n_frames, n_patterns, seed, elws)
 
     with telemetry.span("ser.analyze", circuit=circuit.name,
                         incremental=elws is not None):
@@ -163,9 +148,6 @@ def analyze_ser(circuit: Circuit, phi: float,
             return compute()
         params = {
             "phi": float(phi), "setup": float(setup), "hold": float(hold),
-            "rate_model": [rate_model.name, float(rate_model.unit)],
-            "electrical_tau": electrical_tau,
-            "latch_width": float(latch_width),
             "obs": obs_digest(obs) if obs is not None else None,
             "sim": None if obs is not None
             else [int(n_frames), int(n_patterns), int(seed)],
@@ -177,9 +159,7 @@ def analyze_ser(circuit: Circuit, phi: float,
 
 def _analyze_ser_impl(circuit: Circuit, phi: float, setup: float,
                       hold: float, obs: Mapping[str, float] | None,
-                      rate_model: RateModel, n_frames: int,
-                      n_patterns: int, seed: int,
-                      electrical_tau: float | None, latch_width: float,
+                      n_frames: int, n_patterns: int, seed: int,
                       elws: Mapping[str, IntervalSet] | None,
                       ) -> SerAnalysis:
     if obs is None:
@@ -188,50 +168,36 @@ def _analyze_ser_impl(circuit: Circuit, phi: float, setup: float,
     obs_full = extend_obs_to_registers(circuit, obs)
     if elws is None:
         elws = circuit_elws(circuit, phi, setup, hold)
-    derate: Mapping[str, float] | None = None
-    if electrical_tau is not None:
-        from ..sim.electrical import electrical_derating
 
-        derate = electrical_derating(circuit, tau=electrical_tau,
-                                     latch_width=latch_width)
+    from ..flatcore import arena
 
-    if derate is None and rate_model.name in ("library", "uniform", "area"):
-        from ..flatcore import arena
+    flat = arena.flat_for(circuit)
+    if flat is not None:
+        from ..flatcore.kernels import ser_totals_flat
 
-        flat = arena.flat_for(circuit)
-        if flat is not None:
-            from ..flatcore.kernels import ser_totals_flat
+        per_element, comb, reg, no_timing = ser_totals_flat(
+            flat, obs_full, elws, register_rate(circuit), phi)
+        return SerAnalysis(total=comb + reg, comb=comb, reg=reg,
+                           total_no_timing=no_timing,
+                           per_element=per_element,
+                           phi=phi, setup=setup, hold=hold)
 
-            per_element, comb, reg, no_timing = ser_totals_flat(
-                flat, obs_full, elws, rate_model.name, rate_model.unit,
-                rate_model.register_rate(circuit), phi)
-            return SerAnalysis(total=comb + reg, comb=comb, reg=reg,
-                               total_no_timing=no_timing,
-                               per_element=per_element,
-                               phi=phi, setup=setup, hold=hold)
-
+    rates = raw_rates(circuit)
     per_element: dict[str, float] = {}
     comb = reg = 0.0
     no_timing = 0.0
     for name in circuit.gates:
-        err = rate_model.gate_rate(circuit, name)
-        if derate is not None:
-            err *= derate[name]
         window = elws[name].measure / phi
-        value = obs_full[name] * err * window
+        value = obs_full[name] * rates[name] * window
         per_element[name] = value
         comb += value
-        no_timing += obs_full[name] * err
-    base_reg_err = rate_model.register_rate(circuit)
+        no_timing += obs_full[name] * rates[name]
     for name in circuit.dffs:
-        reg_err = base_reg_err
-        if derate is not None:
-            reg_err *= derate[name]
         window = elws[name].measure / phi
-        value = obs_full[name] * reg_err * window
+        value = obs_full[name] * rates[name] * window
         per_element[name] = value
         reg += value
-        no_timing += obs_full[name] * reg_err
+        no_timing += obs_full[name] * rates[name]
 
     return SerAnalysis(total=comb + reg, comb=comb, reg=reg,
                        total_no_timing=no_timing, per_element=per_element,

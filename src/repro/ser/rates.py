@@ -1,26 +1,15 @@
-"""Raw (unmasked) soft-error rate models -- the ``err(g)`` of eq. (4).
+"""Raw (unmasked) soft-error rates -- the ``err(g)`` of eq. (4).
 
 The paper extracts per-gate raw SER from SPICE characterization using the
-static method of Rao et al. [25].  Offline, we provide deterministic
-surrogate models; only the *relative* rates across gates matter for where
-retiming moves registers (see DESIGN.md substitution table).
-
-Three models are exposed so the benchmarks can ablate the sensitivity of
-the results to the characterization:
-
-* ``library`` (default) -- the per-cell characterization shipped with the
-  cell library (delay- and fanin-correlated, the most physical);
-* ``uniform`` -- every gate identical (isolates pure observability/ELW
-  effects);
-* ``area`` -- proportional to gate fanin + 1 (a crude collection-area
-  model).
+static method of Rao et al. [25].  Offline, the cell library ships a
+deterministic surrogate characterization (delay- and fanin-correlated);
+only the *relative* rates across gates matter for where retiming moves
+registers (see DESIGN.md substitution table).  ``err(g)`` is that
+characterization scaled by :data:`RATE_UNIT`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..errors import AnalysisError
 from ..netlist.circuit import Circuit
 
 #: A global scale applied to all raw rates; keeps the absolute SER values
@@ -28,51 +17,15 @@ from ..netlist.circuit import Circuit
 RATE_UNIT = 1e-6
 
 
-@dataclass(frozen=True)
-class RateModel:
-    """A named raw-SER model.
-
-    Attributes
-    ----------
-    name:
-        ``"library"``, ``"uniform"`` or ``"area"``.
-    unit:
-        Scale factor applied to every rate.
-    """
-
-    name: str = "library"
-    unit: float = RATE_UNIT
-
-    def gate_rate(self, circuit: Circuit, gate_name: str) -> float:
-        """Raw SER of a combinational gate."""
-        gate = circuit.gates[gate_name]
-        if self.name == "library":
-            return circuit.gate_raw_ser(gate_name) * self.unit
-        if self.name == "uniform":
-            return self.unit
-        if self.name == "area":
-            return (len(gate.inputs) + 1.0) * self.unit
-        raise AnalysisError(f"unknown rate model {self.name!r}")
-
-    def register_rate(self, circuit: Circuit) -> float:
-        """Raw SER of a register cell."""
-        if self.name == "uniform":
-            return self.unit
-        return circuit.library.register_raw_ser * self.unit
+def register_rate(circuit: Circuit) -> float:
+    """Raw SER of a register cell."""
+    return circuit.library.register_raw_ser * RATE_UNIT
 
 
-def raw_rates(circuit: Circuit,
-              model: RateModel | str = "library") -> dict[str, float]:
+def raw_rates(circuit: Circuit) -> dict[str, float]:
     """Raw SER for every gate and flip-flop of ``circuit``."""
-    if isinstance(model, str):
-        model = RateModel(model)
-    rates = {name: model.gate_rate(circuit, name) for name in circuit.gates}
-    reg_rate = model.register_rate(circuit)
+    rates = {name: circuit.gate_raw_ser(name) * RATE_UNIT
+             for name in circuit.gates}
+    reg_rate = register_rate(circuit)
     rates.update({name: reg_rate for name in circuit.dffs})
     return rates
-
-
-def total_raw_rate(circuit: Circuit,
-                   model: RateModel | str = "library") -> float:
-    """Sum of raw rates -- the SER with all masking disabled."""
-    return sum(raw_rates(circuit, model).values())

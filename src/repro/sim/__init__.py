@@ -25,7 +25,6 @@ from .logicsim import eval_gate, simulate_comb
 from .sequential import SequentialSimulator, random_state, simulate_trace
 from .odc import ObservabilityResult, exact_observability, observability
 from .faults import GlitchResult, propagate_glitch, sensitized_latching_windows
-from .electrical import electrical_derating, propagate_pulse, required_widths
 
 __all__ = [
     "PATTERNS_PER_WORD",
@@ -47,7 +46,4 @@ __all__ = [
     "GlitchResult",
     "propagate_glitch",
     "sensitized_latching_windows",
-    "electrical_derating",
-    "propagate_pulse",
-    "required_widths",
 ]

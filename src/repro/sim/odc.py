@@ -75,17 +75,17 @@ class ObservabilityResult:
 
 
 def _record_frames(circuit: Circuit, n_frames: int, n_patterns: int,
-                   warmup: int, rng: np.random.Generator,
+                   rng: np.random.Generator,
                    ) -> tuple[list[dict[str, np.ndarray]], SequentialSimulator,
                               list[dict[str, np.ndarray]],
                               dict[str, np.ndarray]]:
-    """Warm up, then record ``n_frames`` cycles of net values.
+    """Warm up for ``n_frames`` cycles, then record ``n_frames`` more.
 
     Returns the recorded frames, the simulator, the per-frame PI values and
     the register state at the start of the recorded window.
     """
     sim = SequentialSimulator(circuit, n_patterns, reset_state(circuit, n_patterns))
-    for _ in range(warmup):
+    for _ in range(n_frames):
         sim.step_random(rng)
     start_state = {k: v.copy() for k, v in sim.state.items()}
     frames: list[dict[str, np.ndarray]] = []
@@ -146,8 +146,7 @@ def _decode_obs_result(payload: dict) -> ObservabilityResult:
 
 
 def observability(circuit: Circuit, n_frames: int = 15,
-                  n_patterns: int = 256, warmup: int | None = None,
-                  seed: int = 0,
+                  n_patterns: int = 256, seed: int = 0,
                   keep_masks: bool = False) -> ObservabilityResult:
     """Signature-based observability with backward ODC propagation.
 
@@ -165,21 +164,16 @@ def observability(circuit: Circuit, n_frames: int = 15,
                         frames=int(n_frames), patterns=int(n_patterns),
                         seed=int(seed)):
         params = {"n_frames": int(n_frames), "n_patterns": int(n_patterns),
-                  "warmup": warmup if warmup is None else int(warmup),
                   "seed": int(seed), "keep_masks": bool(keep_masks)}
         return cached("obs", circuit.fingerprint(), params,
                       compute=lambda: _observability_impl(
-                          circuit, n_frames, n_patterns, warmup, seed,
-                          keep_masks),
+                          circuit, n_frames, n_patterns, seed, keep_masks),
                       encode=_encode_obs_result, decode=_decode_obs_result)
 
 
 def _observability_impl(circuit: Circuit, n_frames: int, n_patterns: int,
-                        warmup: int | None, seed: int,
-                        keep_masks: bool) -> ObservabilityResult:
+                        seed: int, keep_masks: bool) -> ObservabilityResult:
     rng = np.random.default_rng(seed)
-    if warmup is None:
-        warmup = n_frames
 
     from ..flatcore import arena
 
@@ -190,15 +184,14 @@ def _observability_impl(circuit: Circuit, n_frames: int, n_patterns: int,
         # The flat path records its frames matrix-natively (same RNG
         # stream, bit-identical values) -- per-net frame dicts never
         # materialize.
-        flat_frames = record_frames_flat(flat, n_frames, n_patterns,
-                                         warmup, rng)
+        flat_frames = record_frames_flat(flat, n_frames, n_patterns, rng)
         obs, kept = observability_flat(flat, flat_frames, n_frames,
                                        n_patterns, keep_masks)
         return ObservabilityResult(obs=obs, n_patterns=n_patterns,
                                    n_frames=n_frames, method="backward",
                                    masks=kept)
 
-    frames, _, _, _ = _record_frames(circuit, n_frames, n_patterns, warmup, rng)
+    frames, _, _, _ = _record_frames(circuit, n_frames, n_patterns, rng)
 
     po_nets = set(circuit.outputs)
     # Readers of each net: (kind, name) with kind 'gate' or 'dff'.
@@ -250,8 +243,7 @@ def _observability_impl(circuit: Circuit, n_frames: int, n_patterns: int,
 
 
 def exact_observability(circuit: Circuit, n_frames: int = 15,
-                        n_patterns: int = 256, warmup: int | None = None,
-                        seed: int = 0,
+                        n_patterns: int = 256, seed: int = 0,
                         keep_masks: bool = False) -> ObservabilityResult:
     """Flip-and-resimulate observability oracle (quadratic; small circuits).
 
@@ -261,10 +253,8 @@ def exact_observability(circuit: Circuit, n_frames: int = 15,
     if n_frames < 1:
         raise AnalysisError("n_frames must be >= 1")
     rng = np.random.default_rng(seed)
-    if warmup is None:
-        warmup = n_frames
     frames, _, pi_trace, start_state = _record_frames(
-        circuit, n_frames, n_patterns, warmup, rng)
+        circuit, n_frames, n_patterns, rng)
 
     po_nets = list(circuit.outputs)
     obs: dict[str, float] = {}

@@ -4,8 +4,9 @@ Unlike span tracing -- which is installed per run and writes a file --
 the registry is always on: an increment is a plain attribute update, so
 instrumented code never checks whether metrics are "enabled".  The suite
 snapshots the registry around each circuit and stores the delta in
-``report["perf"]["metrics"]``; the ``--metrics-out`` CLI flag dumps the
-whole registry after a run.
+``report["perf"]["metrics"]``; the parallel suite merges each worker's
+fresh per-circuit delta back into the parent's registry, and the
+``--metrics-out`` CLI flag dumps the whole registry after a run.
 
 Metric names are dotted strings (``cache.hits``,
 ``stage.seconds.solve:minobswin``); the Prometheus writer sanitizes
@@ -205,6 +206,32 @@ class MetricsRegistry:
                                    zip(entry["counts"], base_counts)],
                     }
         return out
+
+    def merge(self, delta: dict[str, Any]) -> None:
+        """Add a :meth:`delta` recorded in another process to this registry.
+
+        Counters add; histogram bucket counts, sums and counts add (a
+        histogram new to this registry gets the default bounds, and the
+        bucket count must match).  A gauge is a point-in-time reading
+        of the other process, so a name this registry holds as a gauge
+        is skipped; any other number is a counter increment.
+        """
+        for name, value in delta.items():
+            if isinstance(value, dict):
+                metric = self._metrics.get(name)
+                if metric is None:
+                    metric = self.histogram(name)
+                if not isinstance(metric, Histogram) or \
+                        len(value["counts"]) != len(metric.counts):
+                    raise TelemetryError(
+                        f"cannot merge histogram delta {name!r}: "
+                        f"bucket layout does not match")
+                for index, count in enumerate(value["counts"]):
+                    metric.counts[index] += count
+                metric.sum += value["sum"]
+                metric.count += value["count"]
+            elif not isinstance(self._metrics.get(name), Gauge):
+                self.counter(name).inc(value)
 
     # ------------------------------------------------------------------
     # Exports

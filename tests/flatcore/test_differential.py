@@ -172,12 +172,10 @@ class TestStageEquality:
         for net in ref:
             assert ref[net].intervals == out[net].intervals, net
 
-    @pytest.mark.parametrize("model", ["library", "uniform", "area"])
-    def test_ser_bit_equal(self, circuit, model, object_core):
+    def test_ser_bit_equal(self, circuit, object_core):
         def run():
-            return analyze_ser(circuit, PHI, rate_model=model,
-                               n_frames=FRAMES, n_patterns=PATTERNS,
-                               seed=SEED)
+            return analyze_ser(circuit, PHI, n_frames=FRAMES,
+                               n_patterns=PATTERNS, seed=SEED)
 
         with object_core():
             ref = run()

@@ -1,11 +1,9 @@
 """Tests for repro.runtime.deadline (fake-clock driven)."""
 
-import math
-
 import pytest
 
 from repro.errors import DeadlineExceeded
-from repro.runtime.deadline import Deadline, budget_seconds
+from repro.runtime.deadline import Deadline
 
 
 class FakeClock:
@@ -91,19 +89,3 @@ class TestDeadline:
         assert "inf" in repr(Deadline(None))
         assert "2s" in repr(Deadline(2.0))
 
-
-class TestBudgetSeconds:
-    def test_none_passthrough(self):
-        assert budget_seconds(None) is None
-
-    def test_inf_means_unlimited(self):
-        assert budget_seconds(math.inf) is None
-
-    def test_float_passthrough(self):
-        assert budget_seconds(3.5) == 3.5
-
-    def test_deadline_yields_remaining(self):
-        clock = FakeClock()
-        d = Deadline(4.0, clock=clock)
-        clock.advance(1.0)
-        assert budget_seconds(d) == pytest.approx(3.0)

@@ -22,6 +22,7 @@ from repro.faultplane import hooks
 from repro.faultplane.plan import FaultInjector, FaultPlan, FaultSpec
 from repro.runtime.manifest import RunManifest
 from repro.runtime.suite import SuiteConfig, run_suite
+from repro.telemetry import REGISTRY, MetricsRegistry
 
 NAMES = ("ant", "bee", "cat", "dog", "elk", "fox")
 
@@ -86,16 +87,39 @@ class TestDeterministicMerge:
             run_suite(CFG, circuit_factory=lambda n: local[n], workers=2)
 
 
+class TestMetricsMerge:
+    """Workers count into their own registries; the parent must end up
+    with what a serial run counts (``--metrics-out`` dumps it)."""
+
+    @staticmethod
+    def run_delta(workers, manifest=None):
+        before = REGISTRY.snapshot()
+        run_suite(CFG, manifest_path=manifest,
+                  circuit_factory=grid_factory, workers=workers)
+        delta = MetricsRegistry.delta(before, REGISTRY.snapshot())
+        # Histogram buckets and sums are wall-clock; counts are not.
+        return {name: value["count"] if isinstance(value, dict) else value
+                for name, value in delta.items()}
+
+    def test_two_workers_match_serial_counts(self):
+        serial = self.run_delta(1)
+        assert serial["stage.seconds.prepare"] == len(NAMES)
+        assert serial["solver.iterations"] > 0
+        assert self.run_delta(2) == serial
+
+    def test_resumed_records_are_not_recounted(self, tmp_path):
+        manifest = tmp_path / "p.json"
+        self.run_delta(2, manifest)
+        assert self.run_delta(2, manifest) == {}
+
+
 class TestOrderedProgress:
     def test_lines_surface_in_canonical_order(self, tmp_path):
         lines = []
-        events = []
         run_suite(CFG, manifest_path=tmp_path / "p.json",
                   circuit_factory=grid_factory, workers=3,
-                  progress=lines.append,
-                  progress_events=lambda c, m: events.append(c))
+                  progress=lines.append)
         assert [line.split(":")[0] for line in lines] == list(NAMES)
-        assert events == list(NAMES)
 
     def test_failures_surface_in_canonical_order(self, tmp_path):
         # 'cat' fails at the factory inside a worker: its FailureRecord
@@ -107,11 +131,10 @@ class TestOrderedProgress:
         assert [f.circuit for f in result.failures] == ["cat"]
 
     def test_serial_progress_events_tag_circuits(self):
-        events = []
+        lines = []
         run_suite(CFG, circuit_factory=grid_factory, workers=1,
-                  progress_events=lambda c, m: events.append((c, m)))
-        assert [c for c, _ in events] == list(NAMES)
-        assert all(m.startswith(f"{c}:") for c, m in events)
+                  progress=lines.append)
+        assert [line.split(":")[0] for line in lines] == list(NAMES)
 
 
 def flaky_factory(name):

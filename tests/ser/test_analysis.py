@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import AnalysisError
 from repro.netlist import Circuit
 from repro.ser.analysis import analyze_ser, extend_obs_to_registers
-from repro.ser.rates import RateModel
 from tests.conftest import tiny_random
 
 
@@ -41,12 +40,13 @@ class TestAnalyzeSer:
         c.add_output("g")
         phi = 10.0
         analysis = analyze_ser(c, phi, setup=0.0, hold=2.0,
-                               obs={"a": 1.0, "g": 1.0},
-                               rate_model=RateModel("uniform", unit=1.0))
-        # ELW(g) = [10, 12]: measure 2; SER = 1 * 1 * 2/10.
-        assert analysis.total == pytest.approx(0.2)
+                               obs={"a": 1.0, "g": 1.0})
+        # The generic library's NOT cell has raw SER 1.0, so err(g) =
+        # 1.0 * RATE_UNIT = 1e-6.  ELW(g) = [10, 12]: measure 2;
+        # SER = 1 * 1e-6 * 2/10.
+        assert analysis.total == pytest.approx(2e-7)
         assert analysis.reg == 0.0
-        assert analysis.total_no_timing == pytest.approx(1.0)
+        assert analysis.total_no_timing == pytest.approx(1e-6)
 
     def test_register_contribution(self):
         c = Circuit("reg")
@@ -55,12 +55,13 @@ class TestAnalyzeSer:
         c.add_dff("q", "g")
         c.add_output("q")
         analysis = analyze_ser(c, 10.0, setup=0.0, hold=2.0,
-                               obs={"a": 1.0, "g": 0.5},
-                               rate_model=RateModel("uniform", unit=1.0))
-        # gate g latches with window 2/10 at obs 0.5 -> 0.1
-        assert analysis.comb == pytest.approx(0.1)
-        # register q feeds the PO directly: window 2/10, obs(driver)=0.5
-        assert analysis.reg == pytest.approx(0.1)
+                               obs={"a": 1.0, "g": 0.5})
+        # gate g (BUF, raw SER 0.8 -> err 0.8e-6) latches with window
+        # 2/10 at obs 0.5 -> 0.5 * 0.8e-6 * 0.2 = 8e-8
+        assert analysis.comb == pytest.approx(8e-8)
+        # register q (raw SER 1.3 -> err 1.3e-6) feeds the PO directly:
+        # window 2/10, obs(driver)=0.5 -> 0.5 * 1.3e-6 * 0.2 = 1.3e-7
+        assert analysis.reg == pytest.approx(1.3e-7)
 
     def test_bad_phi(self, tiny_circuit):
         with pytest.raises(AnalysisError):

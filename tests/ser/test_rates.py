@@ -1,45 +1,20 @@
-"""Tests for the raw soft-error-rate models."""
+"""Tests for the raw soft-error rates."""
 
 import pytest
 
-from repro.errors import AnalysisError
-from repro.ser.rates import RateModel, raw_rates, total_raw_rate
+from repro.ser.rates import RATE_UNIT, raw_rates, register_rate
 
 
 class TestRateModels:
     def test_library_model_uses_cells(self, tiny_circuit):
-        model = RateModel("library")
-        rate = model.gate_rate(tiny_circuit, "g1")
-        expected = tiny_circuit.gate_raw_ser("g1") * model.unit
+        rate = raw_rates(tiny_circuit)["g1"]
+        expected = tiny_circuit.gate_raw_ser("g1") * RATE_UNIT
         assert rate == pytest.approx(expected)
-
-    def test_uniform_model(self, tiny_circuit):
-        model = RateModel("uniform")
-        rates = {g: model.gate_rate(tiny_circuit, g)
-                 for g in tiny_circuit.gates}
-        assert len(set(rates.values())) == 1
-        assert model.register_rate(tiny_circuit) == model.unit
-
-    def test_area_model_scales_with_fanin(self, tiny_circuit):
-        model = RateModel("area")
-        # g1 is 2-input, g2 is 1-input
-        assert model.gate_rate(tiny_circuit, "g1") > \
-            model.gate_rate(tiny_circuit, "g2")
-
-    def test_unknown_model(self, tiny_circuit):
-        with pytest.raises(AnalysisError):
-            RateModel("voodoo").gate_rate(tiny_circuit, "g1")
+        assert register_rate(tiny_circuit) == pytest.approx(
+            tiny_circuit.library.register_raw_ser * RATE_UNIT)
 
     def test_raw_rates_covers_everything(self, tiny_circuit):
         rates = raw_rates(tiny_circuit)
         assert set(rates) == set(tiny_circuit.gates) | \
             set(tiny_circuit.dffs)
         assert all(v > 0 for v in rates.values())
-
-    def test_string_model_accepted(self, tiny_circuit):
-        assert raw_rates(tiny_circuit, "uniform")
-        assert total_raw_rate(tiny_circuit, "area") > 0
-
-    def test_total_is_sum(self, tiny_circuit):
-        assert total_raw_rate(tiny_circuit) == pytest.approx(
-            sum(raw_rates(tiny_circuit).values()))

@@ -97,6 +97,31 @@ class TestSnapshotAndDelta:
         assert delta["lat"] == {"count": 1, "sum": pytest.approx(2.0),
                                 "counts": [0, 1]}
 
+    def test_merge_adds_counters_and_histograms(self):
+        worker = MetricsRegistry()
+        before = worker.snapshot()
+        worker.counter("hits").inc(3)
+        worker.gauge("depth").set(4)
+        worker.histogram("lat", buckets=(1.0,)).observe(2.0)
+        delta = MetricsRegistry.delta(before, worker.snapshot())
+        parent = MetricsRegistry()
+        parent.counter("hits").inc(2)
+        parent.gauge("depth").set(1)
+        parent.histogram("lat", buckets=(1.0,)).observe(0.5)
+        parent.merge(delta)
+        parent.merge(delta)
+        assert parent.counter("hits").value == 8
+        assert parent.gauge("depth").value == 1  # gauges are not merged
+        lat = parent.histogram("lat", buckets=(1.0,))
+        assert lat.counts == [1, 2]
+        assert lat.count == 3 and lat.sum == pytest.approx(4.5)
+
+    def test_merge_rejects_mismatched_buckets(self):
+        parent = MetricsRegistry()
+        parent.histogram("lat", buckets=(1.0, 2.0))
+        with pytest.raises(TelemetryError):
+            parent.merge({"lat": {"count": 1, "sum": 0.5, "counts": [1, 0]}})
+
     def test_delta_is_json_serializable(self):
         registry = MetricsRegistry()
         before = registry.snapshot()
