@@ -146,16 +146,22 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
     # Solver introspection: one "solve" span around the whole run and a
     # per-iteration span at each of the main loop's exits (exhausted /
     # commit / backoff / diagnose), carrying the objective and counters
-    # at that moment.  ``tracer`` is bound once; with tracing off every
-    # iteration pays a single ``is not None`` test.
+    # at that moment and the iteration's phase times: select (the forest
+    # DP), diagnose (the timing pass) and update (forest update or
+    # commit).  ``tracer`` is bound once; with tracing off each
+    # instrumentation point pays a single ``is not None`` test.
     tracer = telemetry.active()
 
-    def _trace_iteration(t0: float, action: str) -> None:
+    def _trace_iteration(t0: float, action: str, t_selected: float,
+                         t_diagnosed: float) -> None:
+        t_end = tracer.now()
         tracer.emit_span("solver.iteration", t0, {
             "i": iterations, "pass": passes, "action": action,
             "objective": int(problem.objective(r)), "commits": commits,
             "constraints": constraints_added, "blocked": blocked,
-            "stage": stage})
+            "stage": stage, "select_s": t_selected - t0,
+            "diagnose_s": t_diagnosed - t_selected,
+            "update_s": t_end - t_diagnosed})
 
     with telemetry.span("solve", algorithm=stage):
         while True:
@@ -191,15 +197,18 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
                         f"({commits} commits so far)", stage=stage,
                         elapsed=elapsed, best_r=r.copy(), partial=partial)
                 delta = forest.positive_delta()
+                t_selected = tracer.now() if tracer is not None else 0.0
                 if not delta.any():
                     if tracer is not None:
-                        _trace_iteration(iter_t0, "exhausted")
+                        _trace_iteration(iter_t0, "exhausted", t_selected,
+                                         t_selected)
                     break  # pass exhausted
 
                 move = delta * multiplier
                 tentative = r - move
                 violations = find_violations(problem, tentative, move,
                                              skip_p2=skip_p2)
+                t_diagnosed = tracer.now() if tracer is not None else 0.0
                 if not violations:
                     r = tentative
                     commits += 1
@@ -210,14 +219,16 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
                     if jump:
                         multiplier *= 2
                     if tracer is not None:
-                        _trace_iteration(iter_t0, "commit")
+                        _trace_iteration(iter_t0, "commit", t_selected,
+                                         t_diagnosed)
                     continue
 
                 if multiplier > 1:
                     # Diagnose at unit step for exact active constraints.
                     multiplier = 1
                     if tracer is not None:
-                        _trace_iteration(iter_t0, "backoff")
+                        _trace_iteration(iter_t0, "backoff", t_selected,
+                                         t_diagnosed)
                     continue
 
                 # The whole batch shares one timing pass: every diagnosis
@@ -237,7 +248,8 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
                             ("constraint", violation.kind, violation.p,
                              violation.q, violation.deficit, outcome))
                 if tracer is not None:
-                    _trace_iteration(iter_t0, "diagnose")
+                    _trace_iteration(iter_t0, "diagnose", t_selected,
+                                     t_diagnosed)
 
             if pass_commits == 0 or not restart:
                 break
@@ -246,7 +258,8 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
         objective = problem.objective(r)
         if tracer is not None:
             tracer.add_attrs(iterations=iterations, commits=commits,
-                             passes=passes, objective=int(objective))
+                             passes=passes, objective=int(objective),
+                             forest_evals=forest.evaluations)
     REGISTRY.counter(
         "solver.iterations",
         help="MinObs/MinObsWin main-loop iterations").inc(iterations)

@@ -15,6 +15,16 @@ directly what the regularity conditions of [20] maintain incrementally
 for whole-tree selection).  Constraints dragging the pinned host vertex
 exclude their movers (the host cannot move).
 
+The program is incremental, in the spirit of [20]'s incremental
+regularity: each vertex keeps its two DP states between calls, and a
+*stale* flag (closed under ancestors) marks the states a structural
+operation invalidated -- the re-rooted path, the new parent's ancestor
+chain, a broken-off or re-weighted vertex.  Each tree root keeps its
+cached selection; an operation drops the cached selections of the trees
+it touches and queues the resulting roots.  A call re-evaluates only
+stale vertices and re-selects only queued roots, so it costs what the
+operations since the last call changed, not ``O(|V|)``.
+
 Weight updates follow the paper's ``BreakTree`` discipline: a vertex's
 weight may only change while it is a tree by itself, so the forest first
 re-roots the vertex's tree at the vertex and severs its children
@@ -27,6 +37,9 @@ import numpy as np
 
 from ..errors import RetimingError
 
+#: The in-state of the pinned host: it can never be selected.
+_NEG = -(1 << 62)
+
 
 class RegularForest:
     """Forest of active constraints over the vertices of a retiming graph.
@@ -38,20 +51,20 @@ class RegularForest:
     pinned:
         Index of the immovable host vertex; any tree containing it is
         excluded from the positive set.
+
+    Attributes
+    ----------
+    evaluations:
+        Vertices whose DP states :meth:`positive_delta` has (re)computed
+        since construction -- the incremental DP's work counter.
     """
 
     def __init__(self, gains: np.ndarray, pinned: int = 0):
         self.b = np.asarray(gains, dtype=np.int64)
-        n = len(self.b)
+        self._gain = self.b.tolist()
         self.pinned = pinned
-        self.parent: list[int] = [-1] * n
-        self.children: list[set[int]] = [set() for _ in range(n)]
-        # For a child c: True  -> constraint (c, parent): c drags parent
-        #                False -> constraint (parent, c): parent drags c
-        self.drags_parent: list[bool] = [False] * n
-        self.weight: list[int] = [1] * n
-        self.weight[pinned] = 0
-        self.n_constraints = 0
+        self.evaluations = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # Tree navigation
@@ -67,6 +80,16 @@ class RegularForest:
         while self.parent[v] >= 0:
             v = self.parent[v]
         return v
+
+    def _chain(self, v: int) -> list[int]:
+        """``v`` and its ancestors, ending at the root."""
+        parent = self.parent
+        chain = [v]
+        v = parent[v]
+        while v >= 0:
+            chain.append(v)
+            v = parent[v]
+        return chain
 
     def tree_members(self, v: int) -> list[int]:
         """All vertices of the tree containing ``v`` (root-first BFS)."""
@@ -93,26 +116,46 @@ class RegularForest:
         return out
 
     # ------------------------------------------------------------------
+    # Cache bookkeeping
+    # ------------------------------------------------------------------
+
+    def _unselect(self, root: int) -> None:
+        """Drop the cached selection of ``root``'s tree."""
+        delta = self._delta
+        for v in self._selection.pop(root, ()):
+            delta[v] = 0
+
+    # ------------------------------------------------------------------
     # Structural operations
     # ------------------------------------------------------------------
 
     def _reroot(self, v: int) -> None:
         """Make ``v`` the root of its tree (reverses parent pointers)."""
-        path: list[int] = [v]
-        while self.parent[path[-1]] >= 0:
-            path.append(self.parent[path[-1]])
-        # path = v .. old_root; reverse each edge along it.
-        for child, parent in zip(path, path[1:]):
-            # remove child from parent, attach parent under child
-            self.children[parent].discard(child)
-            self.children[child].add(parent)
-        # flags: edge (child, parent) direction is absolute; as parent
-        # becomes the child, its flag is the negation of the old one.
-        flags = [self.drags_parent[c] for c in path[:-1]]
-        for (child, parent), flag in zip(zip(path, path[1:]), flags):
-            self.parent[parent] = child
-            self.drags_parent[parent] = not flag
-        self.parent[v] = -1
+        parent = self.parent
+        up = parent[v]
+        if up < 0:
+            return
+        children = self.children
+        drags_parent = self.drags_parent
+        stale = self._stale
+        # One pass up the path: each edge (child, up) flips to (up,
+        # child), and the constraint's absolute direction is kept by
+        # negating the flag as ``up`` becomes the child.
+        child = v
+        flag = drags_parent[v]
+        parent[v] = -1
+        stale[v] = True
+        while up >= 0:
+            next_up = parent[up]
+            next_flag = drags_parent[up]
+            children[up].discard(child)
+            children[child].add(up)
+            parent[up] = child
+            drags_parent[up] = not flag
+            stale[up] = True
+            child, up, flag = up, next_up, next_flag
+        self._unselect(child)   # the old root
+        self._dirty.add(v)
 
     def link(self, p: int, q: int) -> None:
         """Store constraint (p, q): p drags q.  q's tree is merged under p.
@@ -121,13 +164,37 @@ class RegularForest:
         """
         if p == q:
             raise RetimingError("cannot link a vertex to itself")
-        if self.root(p) == self.root(q):
+        root_p = self.root(p)
+        root_q = self.root(q)
+        if root_p == root_q:
             raise RetimingError("link requires distinct trees")
+        self._link(p, q, root_p)
+
+    def _link(self, p: int, q: int, root_p: int | None) -> None:
+        """:meth:`link` with ``p``'s root already known.
+
+        ``root_p`` is None when ``p``'s tree is a piece that
+        :meth:`break_tree` just cut off: its selection is already dropped
+        and its root queued.
+        """
+        if root_p is not None:
+            self._unselect(root_p)
+            self._dirty.add(root_p)
+        # q's tree loses its selection here when q roots it, else in
+        # _reroot.
+        self._unselect(q)
         self._reroot(q)
         self.parent[q] = p
         self.children[p].add(q)
         self.drags_parent[q] = False  # constraint (parent, child) = (p, q)
         self.n_constraints += 1
+        # p's states change, and so do its ancestors'; the stale set is
+        # ancestor-closed, so the walk stops at the first stale vertex.
+        parent = self.parent
+        stale = self._stale
+        while p >= 0 and not stale[p]:
+            stale[p] = True
+            p = parent[p]
 
     def break_tree(self, q: int) -> None:
         """The paper's BreakTree: isolate ``q`` as a singleton tree.
@@ -137,10 +204,16 @@ class RegularForest:
         are re-discovered by later violations).
         """
         self._reroot(q)
+        self._unselect(q)
+        parent = self.parent
+        dirty = self._dirty
         for child in self.children[q]:
-            self.parent[child] = -1
+            parent[child] = -1
+            dirty.add(child)
             self.n_constraints -= 1
         self.children[q].clear()
+        self._stale[q] = True
+        dirty.add(q)
 
     def is_singleton(self, v: int) -> bool:
         """True when ``v`` is a tree by itself."""
@@ -156,7 +229,10 @@ class RegularForest:
                 "(call break_tree first)")
         if w < 1:
             raise RetimingError("move weights must be >= 1")
+        self._unselect(q)
         self.weight[q] = int(w)
+        self._stale[q] = True
+        self._dirty.add(q)
 
     def implies(self, p: int, q: int) -> bool:
         """True when the stored constraints already force q to follow p.
@@ -166,26 +242,26 @@ class RegularForest:
         """
         if p == q:
             return True
-        # Ancestor chains to the roots.
-        chain_p: list[int] = [p]
-        while self.parent[chain_p[-1]] >= 0:
-            chain_p.append(self.parent[chain_p[-1]])
-        chain_q: list[int] = [q]
-        while self.parent[chain_q[-1]] >= 0:
-            chain_q.append(self.parent[chain_q[-1]])
+        chain_p = self._chain(p)
+        chain_q = self._chain(q)
         if chain_p[-1] != chain_q[-1]:
             return False
-        set_p = {v: i for i, v in enumerate(chain_p)}
-        lca = next(v for v in chain_q if v in set_p)
-        up = chain_p[:chain_p.index(lca)]       # p .. just below lca
-        down = chain_q[:chain_q.index(lca)]     # q .. just below lca
-        # Upward steps c -> parent must drag the parent.
-        if any(not self.drags_parent[c] for c in up):
-            return False
-        # Downward steps parent -> child must drag the child.
-        if any(self.drags_parent[c] for c in down):
-            return False
-        return True
+        return self._implied(chain_p, chain_q)
+
+    def _implied(self, chain_p: list[int], chain_q: list[int]) -> bool:
+        """:meth:`implies` for two distinct vertices of one tree, given
+        their root chains."""
+        # The chains share the suffix from the LCA up to the root.
+        i = len(chain_p) - 1
+        j = len(chain_q) - 1
+        while i and j and chain_p[i - 1] == chain_q[j - 1]:
+            i -= 1
+            j -= 1
+        # Upward steps c -> parent must drag the parent; downward steps
+        # parent -> child must drag the child.
+        drags_parent = self.drags_parent
+        return (all(drags_parent[c] for c in chain_p[:i])
+                and not any(drags_parent[c] for c in chain_q[:j]))
 
     # ------------------------------------------------------------------
     # Solver-facing API
@@ -206,13 +282,17 @@ class RegularForest:
         if self.weight[q] != required_weight:
             self.break_tree(q)
             self.set_weight(q, required_weight)
-        if self.root(p) == self.root(q):
-            if self.implies(p, q):
+            self._link(p, q, self.root(p))
+            return True
+        chain_p = self._chain(p)
+        chain_q = self._chain(q)
+        root_p = chain_p[-1]
+        if root_p == chain_q[-1]:
+            if self._implied(chain_p, chain_q):
                 return False
             self.break_tree(q)
-            if p == q:  # break_tree may have made them identical roots
-                return False
-        self.link(p, q)
+            root_p = None
+        self._link(p, q, root_p)
         return True
 
     def pin_tree(self, v: int) -> None:
@@ -223,11 +303,18 @@ class RegularForest:
         the closed-set selection excludes ``v`` permanently for this
         pass.
         """
-        if v == self.pinned or self.implies(v, self.pinned):
+        host = self.pinned
+        if v == host:
             return
-        if self.root(v) == self.root(self.pinned):
+        chain_v = self._chain(v)
+        chain_h = self._chain(host)
+        root_v = chain_v[-1]
+        if root_v == chain_h[-1]:
+            if self._implied(chain_v, chain_h):
+                return
             self.break_tree(v)
-        self.link(v, self.pinned)
+            root_v = None
+        self._link(v, host, root_v)
 
     def positive_delta(self) -> np.ndarray:
         """Move amounts of the best candidate set ``I`` in the forest.
@@ -235,88 +322,115 @@ class RegularForest:
         Selects, independently per tree, the maximum-gain vertex subset
         closed under the stored active constraints (exact tree dynamic
         program over the two per-vertex states in/out, honoring each tree
-        edge's drag direction; the pinned host is forced out).  Trees
-        whose best closed subset has non-positive gain contribute
-        nothing.  Returns ``delta[v] = w(v)`` for selected vertices, 0
-        elsewhere.
+        edge's drag direction; the pinned host is forced out).  Ties go
+        out, so each tree yields its unique *minimal* maximum-gain closed
+        subset, whatever vertex roots it.  Trees whose best closed subset
+        has non-positive gain contribute nothing.  Returns
+        ``delta[v] = w(v)`` for selected vertices, 0 elsewhere.
 
         This realizes the regular forest's purpose -- ``I`` is the
         max-gain closed set under A -- with an explicit optimization
         instead of the incremental regularity maintenance of [20]; both
         give a closed set whose move strictly improves the objective.
-        A call costs O(|V|): each vertex is visited once.
+
+        Cost: only the vertices made stale since the last call are
+        re-evaluated (children before parents), and only the trees
+        touched since then are re-selected.  The backtrack skips any
+        out-vertex whose best subtree value is 0, since nothing below it
+        can be selected.  Untouched trees keep their cached selection.
+        The returned array is the one ``O(|V|)`` step, a C-level copy.
         """
-        n = self.n_vertices
-        b = self.b.tolist()
-        weight = self.weight
         parent = self.parent
+        roots = [v for v in self._dirty if parent[v] < 0]
+        self._dirty.clear()
+        if roots:
+            self._update(roots)
+        return np.array(self._delta, dtype=np.int64)
+
+    def _update(self, roots: list[int]) -> None:
+        """Re-evaluate the stale states of, and re-select, ``roots``."""
+        gain = self._gain
+        weight = self.weight
         children = self.children
         drags_parent = self.drags_parent
         pinned = self.pinned
-        delta = [0] * n
-        # Per-vertex DP states, allocated once per call rather than per
-        # tree: each tree writes its members' states before reading them.
-        f_in = [0] * n
-        f_out = [0] * n
-        NEG = -(1 << 62)
-
-        for start in range(n):
-            if parent[start] >= 0:
-                continue
-            if not children[start]:
-                # Singleton tree: in alone, or nothing.
-                if start != pinned and b[start] * weight[start] > 0:
-                    delta[start] = weight[start]
-                continue
-            # Breadth-first order: every child comes after its parent, so
-            # the reversed order visits children first.
-            order = [start]
-            for v in order:
-                order.extend(children[v])
-            for v in reversed(order):
-                acc_in = NEG if v == pinned else b[v] * weight[v]
-                acc_out = 0
-                for c in children[v]:
-                    c_in = f_in[c]
-                    c_out = f_out[c]
-                    best = c_in if c_in > c_out else c_out
-                    if drags_parent[c]:
-                        # (c, v): c in => v in; v out forces c out.
-                        acc_in += best
-                        acc_out += c_out
-                    else:
-                        # (v, c): v in => c in.
-                        acc_in += c_in
-                        acc_out += best
-                f_in[v] = acc_in if acc_in > NEG else NEG
-                f_out[v] = acc_out
-            if f_in[start] <= 0 and f_out[start] <= 0:
-                continue
-            # Backtrack the optimal states.
-            choose = [(start, f_in[start] > f_out[start])]
+        stale = self._stale
+        f_in = self._f_in
+        f_out = self._f_out
+        delta = self._delta
+        selection = self._selection
+        evaluated = 0
+        for root in roots:
+            if stale[root]:
+                # The stale vertices form a subtree at the root; order
+                # them parents-first, then evaluate children-first.
+                order = [root]
+                for v in order:
+                    for c in children[v]:
+                        if stale[c]:
+                            order.append(c)
+                evaluated += len(order)
+                for v in reversed(order):
+                    acc_in = _NEG if v == pinned else gain[v] * weight[v]
+                    acc_out = 0
+                    for c in children[v]:
+                        c_in = f_in[c]
+                        c_out = f_out[c]
+                        best = c_in if c_in > c_out else c_out
+                        if drags_parent[c]:
+                            # (c, v): c in => v in; v out forces c out.
+                            acc_in += best
+                            acc_out += c_out
+                        else:
+                            # (v, c): v in => c in.
+                            acc_in += c_in
+                            acc_out += best
+                    f_in[v] = acc_in if acc_in > _NEG else _NEG
+                    f_out[v] = acc_out
+                    stale[v] = False
+            # Backtrack the optimal states (ties go out).
+            chosen: list[int] = []
+            choose = [(root, f_in[root] > f_out[root])]
             while choose:
                 v, inside = choose.pop()
                 if inside:
+                    chosen.append(v)
                     delta[v] = weight[v]
-                for c in children[v]:
-                    if drags_parent[c]:
-                        child_in = f_in[c] > f_out[c] if inside else False
-                    else:
-                        child_in = True if inside \
-                            else f_in[c] > f_out[c]
-                    choose.append((c, child_in))
-        return np.array(delta, dtype=np.int64)
+                    for c in children[v]:
+                        choose.append(
+                            (c, f_in[c] > f_out[c] if drags_parent[c]
+                             else True))
+                elif f_out[v]:
+                    for c in children[v]:
+                        choose.append(
+                            (c, False if drags_parent[c]
+                             else f_in[c] > f_out[c]))
+            if chosen:
+                selection[root] = chosen
+        self.evaluations += evaluated
 
     def reset(self) -> None:
         """Drop all constraints and reset all weights to 1 (new pass)."""
         n = self.n_vertices
         self.parent = [-1] * n
         self.children = [set() for _ in range(n)]
+        # For a child c: True  -> constraint (c, parent): c drags parent
+        #                False -> constraint (parent, c): parent drags c
         self.drags_parent = [False] * n
         self.weight = [1] * n
         self.weight[self.pinned] = 0
         self.n_constraints = 0
+        # Incremental DP state: per-vertex in/out values, the
+        # ancestor-closed stale flags, the cached selection per root and
+        # the roots queued for re-selection.
+        self._f_in = [0] * n
+        self._f_out = [0] * n
+        self._stale = [True] * n
+        self._delta = [0] * n
+        self._selection: dict[int, list[int]] = {}
+        self._dirty: set[int] = set(range(n))
 
     def __repr__(self) -> str:
         return (f"RegularForest(|V|={self.n_vertices}, "
                 f"constraints={self.n_constraints})")
+

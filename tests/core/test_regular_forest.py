@@ -1,15 +1,98 @@
 """Tests for the (weighted) regular forest, including the Fig. 3 scenario."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.constraints import Problem, gains as vertex_gains
+from repro.core.initialization import initialize
+from repro.core.minobs import minobs_retiming
+from repro.core.minobswin import minobswin_retiming
 from repro.core.regular_forest import RegularForest
+from repro.corpus.families import corpus_circuit, tier_specs
 from repro.errors import RetimingError
+from repro.graph.retiming_graph import RetimingGraph
+from repro.sim.odc import observability
 
 
 def forest(gains, pinned=0):
     return RegularForest(np.asarray(gains, dtype=np.int64), pinned=pinned)
+
+
+def reference_delta(f):
+    """The full per-tree DP over the whole forest, from scratch.
+
+    The oracle of the incremental :meth:`RegularForest.positive_delta`:
+    every tree is evaluated bottom-up and backtracked (ties go out) on
+    every call, reading only the forest's public structure.
+    """
+    n = f.n_vertices
+    b = f.b.tolist()
+    weight = f.weight
+    children = f.children
+    drags_parent = f.drags_parent
+    delta = [0] * n
+    f_in = [0] * n
+    f_out = [0] * n
+    NEG = -(1 << 62)
+    for start in range(n):
+        if f.parent[start] >= 0:
+            continue
+        order = [start]
+        for v in order:
+            order.extend(children[v])
+        for v in reversed(order):
+            acc_in = NEG if v == f.pinned else b[v] * weight[v]
+            acc_out = 0
+            for c in children[v]:
+                best = max(f_in[c], f_out[c])
+                if drags_parent[c]:
+                    acc_in += best
+                    acc_out += f_out[c]
+                else:
+                    acc_in += f_in[c]
+                    acc_out += best
+            f_in[v] = max(acc_in, NEG)
+            f_out[v] = acc_out
+        if f_in[start] <= 0 and f_out[start] <= 0:
+            continue
+        choose = [(start, f_in[start] > f_out[start])]
+        while choose:
+            v, inside = choose.pop()
+            if inside:
+                delta[v] = weight[v]
+            for c in children[v]:
+                if drags_parent[c]:
+                    child_in = inside and f_in[c] > f_out[c]
+                else:
+                    child_in = inside or f_in[c] > f_out[c]
+                choose.append((c, child_in))
+    return np.array(delta, dtype=np.int64)
+
+
+def minimal_best_closed_set(candidates, constraints, gain):
+    """Brute force: the unique minimal maximum-gain closed subset.
+
+    ``candidates`` are the movable vertices; a constraint (p, q) whose q
+    is not a candidate (the host) forbids p.  Maximum-gain closed sets
+    are closed under intersection, so their intersection is one of them.
+    """
+    best, optima = 0, []
+    for k in range(len(candidates) + 1):
+        for subset in itertools.combinations(candidates, k):
+            s = set(subset)
+            if any(p in s and q not in s for p, q in constraints):
+                continue
+            g = gain(s)
+            if g > best:
+                best, optima = g, [s]
+            elif g == best:
+                optima.append(s)
+    minimal = set.intersection(*optima)
+    assert gain(minimal) == best
+    return minimal
 
 
 class TestStructure:
@@ -185,9 +268,8 @@ class TestRandomizedInvariants:
     @given(st.data())
     def test_selection_closed_and_positive(self, data):
         """The selected set is always closed under stored constraints and
-        its gain is positive; and it is optimal versus brute force."""
-        import itertools
-
+        its gain is positive; and it is the brute force's minimal
+        optimum."""
         n = data.draw(st.integers(3, 7))
         gains = [0] + [data.draw(st.integers(-8, 8)) for _ in range(n - 1)]
         f = forest(gains)
@@ -207,29 +289,20 @@ class TestRandomizedInvariants:
         if chosen:
             gain = sum(gains[v] * f.weight[v] for v in chosen)
             assert gain > 0
-        # Brute-force the best closed subset.
-        best = 0
-        for subset in itertools.chain.from_iterable(
-                itertools.combinations(range(1, n), k)
-                for k in range(n)):
-            s = set(subset)
-            if any(p in s and q not in s for p, q in constraints if q != 0):
-                continue
-            if any(p in s for p, q in constraints if q == 0):
-                continue
-            best = max(best, sum(gains[v] * f.weight[v] for v in s))
-        achieved = sum(gains[v] * f.weight[v] for v in chosen)
-        assert achieved == best
+        # The selection is exactly the brute-force minimal best closed
+        # subset: the tie-break (ties go out) is pinned, not just the gain.
+        assert chosen == minimal_best_closed_set(
+            range(1, n), constraints,
+            lambda s: sum(gains[v] * f.weight[v] for v in s))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_large_sparse_forest_against_per_tree_brute_force(self, data):
         """30-60 vertices, mostly singletons, move weights up to 4 and the
         pinned host inside a non-singleton tree: the selection is closed,
-        every selected tree gains, and the total gain is the brute-force
-        maximum (trees are independent, so each is enumerated alone)."""
-        import itertools
-
+        every selected tree gains, and each tree's selection is its
+        brute-force minimal optimum (trees are independent, so each is
+        enumerated alone)."""
         n = data.draw(st.integers(30, 60))
         gains = [0] + [data.draw(st.integers(-8, 8)) for _ in range(n - 1)]
         f = forest(gains)
@@ -276,12 +349,109 @@ class TestRandomizedInvariants:
             movable = [v for v in members if v != 0]
             inner = [(p, q) for p, q in constraints
                      if p in members or q in members]
-            best = 0
-            for k in range(1, len(movable) + 1):
-                for subset in itertools.combinations(movable, k):
-                    s = set(subset)
-                    if all(q in s for p, q in inner if p in s):
-                        best = max(best, gain(s))
-            assert gain(picked) == best
-            best_total += best
+            minimal = minimal_best_closed_set(movable, inner, gain)
+            assert picked == minimal
+            best_total += gain(minimal)
         assert gain(chosen) == best_total
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rerooting_leaves_the_selection_unchanged(self, data):
+        """The selection depends on each tree's constraints, not on which
+        vertex roots it: re-rooting at any vertex keeps positive_delta."""
+        n = data.draw(st.integers(3, 12))
+        f = forest([0] + [data.draw(st.integers(-8, 8))
+                          for _ in range(n - 1)])
+        for _ in range(data.draw(st.integers(0, 3 * n))):
+            p = data.draw(st.integers(1, n - 1))
+            q = data.draw(st.integers(1, n - 1))
+            if data.draw(st.integers(0, 4)) == 0:
+                f.pin_tree(p)
+            elif p != q:
+                f.add_constraint(p, q, data.draw(st.integers(1, 3)))
+        expected = f.positive_delta()
+        for v in data.draw(st.permutations(range(n))):
+            f._reroot(v)
+            assert f.root(v) == v
+            assert (f.positive_delta() == expected).all()
+            assert (reference_delta(f) == expected).all()
+
+
+OPS = ("add", "pin", "break", "weight", "reroot", "reset")
+
+
+class TestIncrementalOracle:
+    """The incremental DP against the full reference DP."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_operation_sequences(self, data):
+        """After any sequence of forest operations -- checked after each
+        one, or after a batch of them -- positive_delta equals the full
+        DP over the forest as it stands."""
+        n = data.draw(st.integers(2, 14))
+        pinned = data.draw(st.integers(0, n - 1))
+        f = forest([data.draw(st.integers(-8, 8)) for _ in range(n)],
+                   pinned=pinned)
+        vertex = st.integers(0, n - 1)
+        for _ in range(data.draw(st.integers(1, 50))):
+            op = data.draw(st.sampled_from(OPS))
+            v = data.draw(vertex)
+            if op == "add":
+                q = data.draw(vertex)
+                if q != pinned:
+                    f.add_constraint(v, q, data.draw(st.integers(1, 4)))
+            elif op == "pin":
+                f.pin_tree(v)
+            elif op == "break":
+                f.break_tree(v)
+            elif op == "weight":
+                if v != pinned and f.is_singleton(v):
+                    f.set_weight(v, data.draw(st.integers(1, 4)))
+            elif op == "reroot":
+                f._reroot(v)
+            else:
+                f.reset()
+            if data.draw(st.booleans()):
+                assert (f.positive_delta() == reference_delta(f)).all()
+        assert (f.positive_delta() == reference_delta(f)).all()
+        assert f.evaluations >= n
+
+    def test_reweighted_singleton_is_re_evaluated(self):
+        # 2's cached state is fresh when its weight changes; linking it
+        # as a child with the same weight must not reuse the old state.
+        f = forest([0, 5, -2])
+        f.positive_delta()
+        f.set_weight(2, 3)
+        f.positive_delta()
+        f.add_constraint(1, 2, 3)   # 5 - 2 * 3 < 0
+        assert not f.positive_delta().any()
+        assert not reference_delta(f).any()
+
+    @pytest.mark.parametrize("solver", [minobs_retiming, minobswin_retiming])
+    @pytest.mark.parametrize("name",
+                             [spec.name for spec in tier_specs("small")])
+    def test_every_solver_iteration(self, monkeypatch, name, solver):
+        """Seeded small-tier solves: at every iteration, the selection
+        the solver receives equals the full DP's."""
+        circuit = corpus_circuit("small", name)
+        graph = RetimingGraph.from_circuit(circuit)
+        obs = observability(circuit, n_frames=4, n_patterns=64,
+                            seed=0).obs
+        counts = {net: int(round(value * 64)) for net, value in obs.items()}
+        init = initialize(graph, 0.0, circuit.library.hold_time)
+        problem = Problem(graph=graph, phi=init.phi, setup=0.0,
+                          hold=circuit.library.hold_time, rmin=init.rmin,
+                          b=vertex_gains(graph, counts))
+        incremental = RegularForest.positive_delta
+        calls = []
+
+        def checked(self):
+            delta = incremental(self)
+            assert (delta == reference_delta(self)).all()
+            calls.append(1)
+            return delta
+
+        monkeypatch.setattr(RegularForest, "positive_delta", checked)
+        result = solver(problem, init.r0)
+        assert len(calls) >= result.iterations > 0

@@ -7,6 +7,8 @@ accounting: span count == ``result.iterations``, the per-iteration
 ``objective`` attribute is monotone (larger-is-better objective, and
 only feasible gain-commits ever change it), and the committed-gain
 reconstruction from ``keep_trace`` lands on the same final objective.
+Each iteration's phase times (select / diagnose / update) fit inside its
+span, and the ``solve`` span counts the forest DP's vertex evaluations.
 """
 
 import json
@@ -90,14 +92,32 @@ class TestSolverIterationSpans:
             assert span["attrs"]["objective"] == running
         assert running == int(result.objective)
 
+    def test_iteration_phases_fit_in_the_span(self, tmp_path, name):
+        _, _, _, records = traced_solve(tmp_path, name)
+        iteration_spans = [r for r in records if r["type"] == "span"
+                           and r["name"] == "solver.iteration"]
+        for span in iteration_spans:
+            phases = [span["attrs"][key]
+                      for key in ("select_s", "diagnose_s", "update_s")]
+            assert min(phases) >= 0.0
+            assert sum(phases) <= span["dur"] + 1e-9
+        # Only a diagnosing or committing iteration runs the timing pass.
+        for span in iteration_spans:
+            if span["attrs"]["action"] == "exhausted":
+                assert span["attrs"]["diagnose_s"] == 0.0
+
     def test_solve_span_carries_final_counters(self, tmp_path, name):
-        _, _, result, records = traced_solve(tmp_path, name)
+        problem, _, result, records = traced_solve(tmp_path, name)
         (solve,) = [r for r in records if r["type"] == "span"
                     and r["name"] == "solve"]
         assert solve["attrs"]["algorithm"] == "minobswin"
         assert solve["attrs"]["iterations"] == result.iterations
         assert solve["attrs"]["commits"] == result.commits
         assert solve["attrs"]["objective"] == int(result.objective)
+        # Each pass starts from a fresh forest, whose first selection
+        # evaluates every vertex.
+        assert solve["attrs"]["forest_evals"] >= \
+            result.passes * problem.graph.n_vertices > 0
         # Every iteration span is parented under the solve span.
         for record in records:
             if record["type"] == "span" and \
