@@ -81,6 +81,10 @@ def _find_cycle(
     return cycle
 
 
+#: Characters that would break the supported netlist formats.
+_FORBIDDEN_NAME_CHARS = frozenset(' \t\n\r()=,#"')
+
+
 def check_name(name: str, kind: str) -> str:
     """Validate an identifier-ish netlist name and return it.
 
@@ -89,8 +93,7 @@ def check_name(name: str, kind: str) -> str:
     """
     if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} name must be a non-empty string, got {name!r}")
-    bad = set(' \t\n\r()=,#"')
-    if any(ch in bad for ch in name):
+    if not _FORBIDDEN_NAME_CHARS.isdisjoint(name):
         raise ValueError(f"{kind} name {name!r} contains forbidden characters")
     return name
 

@@ -371,23 +371,26 @@ def activated(cache: AnalysisCache | None) -> Iterator[AnalysisCache | None]:
         _ACTIVE = previous
 
 
-def cached(kind: str, circuit_digest: str, params: dict[str, Any],
+def cached(kind: str, key: Callable[[], tuple[str, dict[str, Any]]],
            compute: Callable[[], Any],
            encode: Callable[[Any], Any] | None = None,
            decode: Callable[[Any], Any] | None = None,
            store: bool = True) -> Any:
     """Front door used by the instrumented analyses.
 
-    With no active cache this is exactly ``compute()``.  Otherwise:
-    look up ``(circuit_digest, kind, params)``; on a hit return
-    ``decode(stored)``; on a miss run ``compute()``, store
-    ``encode(value)`` (unless ``store`` is False -- used to keep
-    fault-tainted or nondeterministic values out of the cache) and
-    return the freshly computed value.
+    ``key`` returns the ``(circuit_digest, params)`` pair of the result;
+    it is called only when a cache is active, so an uncached analysis
+    never pays for hashing its circuit.  With no active cache this is
+    exactly ``compute()``.  Otherwise: look up ``(circuit_digest, kind,
+    params)``; on a hit return ``decode(stored)``; on a miss run
+    ``compute()``, store ``encode(value)`` (unless ``store`` is False --
+    used to keep fault-tainted or nondeterministic values out of the
+    cache) and return the freshly computed value.
     """
     cache = _ACTIVE
     if cache is None:
         return compute()
+    circuit_digest, params = key()
     hit = cache.get(kind, circuit_digest, params)
     if hit is not MISS:
         return decode(hit) if decode is not None else hit

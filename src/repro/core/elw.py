@@ -95,9 +95,9 @@ def circuit_elws(circuit: Circuit, phi: float, setup: float = 0.0,
     fingerprint.
     """
     with telemetry.span("elw", circuit=circuit.name):
-        params = {"phi": float(phi), "setup": float(setup),
-                  "hold": float(hold)}
-        return cached("elw", timing_digest(circuit), params,
+        return cached("elw", lambda: (timing_digest(circuit), {
+                          "phi": float(phi), "setup": float(setup),
+                          "hold": float(hold)}),
                       compute=lambda: _circuit_elws_impl(circuit, phi,
                                                          setup, hold),
                       encode=_encode_elws, decode=_decode_elws)

@@ -19,17 +19,13 @@ Circuit` lowered to contiguous numpy buffers:
   one gathered numpy expression.
 
 Lowering is pure and deterministic: the same circuit always produces the
-same arrays, and :attr:`FlatCircuit.digest` (sha256 over the source
-:func:`~repro.cache.timing_digest` and every buffer) is the
-content-address of the lowered form.  :func:`validate_flat` re-derives
-each invariant and raises a *located* :class:`~repro.errors.FlatCoreError`
-on any deviation, so a corrupted arena can never return a silently wrong
-result.
+same arrays.  :func:`validate_flat` re-derives each invariant and raises
+a *located* :class:`~repro.errors.FlatCoreError` on any deviation, so a
+corrupted arena can never return a silently wrong result.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +36,6 @@ from ..netlist.circuit import Circuit
 
 #: Op name -> integer op code (index into ``SUPPORTED_OPS``).
 OP_CODES: dict[str, int] = {op: i for i, op in enumerate(SUPPORTED_OPS)}
-
-#: Format tag mixed into every arena digest; bump on layout changes.
-DIGEST_TAG = "flat-v1"
-
 
 #: The gate algebra, indexed by op code.  Every supported op is
 #: ``R(x_1 ^ m, ..., x_k ^ m) ^ o`` with per-gate masks ``m, o`` in
@@ -101,7 +93,6 @@ class FlatCircuit:
     """The lowered arena.  See the module docstring for the layout."""
 
     source_name: str
-    source_digest: str
     names: list[str]
     index: dict[str, int]
     n_inputs: int
@@ -133,9 +124,8 @@ class FlatCircuit:
     level: np.ndarray
     topo: np.ndarray
     programs: list[LevelProgram]
-    # Kernel-private memos (sensitization plans, ELW reader lists).
+    # Kernel-private memo (the sensitization plans).
     _memo: dict = field(default_factory=dict, repr=False)
-    _digest: str | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -156,41 +146,6 @@ class FlatCircuit:
         """Node id of gate ordinal ``ordinal``."""
         return self.n_inputs + ordinal
 
-    @property
-    def digest(self) -> str:
-        """sha256 content-address of the arena (layout ``flat-v1``).
-
-        Ties into the existing cache-key scheme: the source circuit's
-        :func:`~repro.cache.timing_digest` is the first hashed field, so
-        two arenas agree only when their circuits would share analysis
-        cache keys *and* every lowered buffer matches bit for bit.
-        """
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(DIGEST_TAG.encode("utf-8") + b"\0")
-            h.update(self.source_digest.encode("utf-8") + b"\0")
-            h.update("\0".join(self.names).encode("utf-8") + b"\0\0")
-            h.update("\0".join(self.outputs).encode("utf-8") + b"\0\0")
-            for tag, arr in (
-                    ("op_code", self.op_code), ("arity", self.arity),
-                    ("gate_delay", self.gate_delay),
-                    ("gate_raw_ser", self.gate_raw_ser),
-                    ("fanin_indptr", self.fanin_indptr),
-                    ("fanin", self.fanin),
-                    ("fanout_indptr", self.fanout_indptr),
-                    ("fanout", self.fanout),
-                    ("reader_indptr", self.reader_indptr),
-                    ("reader", self.reader),
-                    ("edge_gate", self.edge_gate),
-                    ("edge_src", self.edge_src),
-                    ("dff_d", self.dff_d), ("dff_init", self.dff_init),
-                    ("is_po", self.is_po), ("dff_read", self.dff_read),
-                    ("level", self.level), ("topo", self.topo)):
-                h.update(tag.encode("utf-8") + b"\0")
-                h.update(np.ascontiguousarray(arr).tobytes())
-            self._digest = h.hexdigest()
-        return self._digest
-
 
 def lower(circuit: Circuit) -> FlatCircuit:
     """Lower ``circuit`` to a :class:`FlatCircuit`.
@@ -202,8 +157,6 @@ def lower(circuit: Circuit) -> FlatCircuit:
     engines would -- that is a property of the circuit, not of the
     lowering.
     """
-    from ..cache import timing_digest
-
     names = circuit.nets
     index = {name: i for i, name in enumerate(names)}
     n_inputs = len(circuit.inputs)
@@ -348,9 +301,9 @@ def lower(circuit: Circuit) -> FlatCircuit:
                                n_inputs, n_nodes)
 
     return FlatCircuit(
-        source_name=circuit.name, source_digest=timing_digest(circuit),
-        names=names, index=index, n_inputs=n_inputs, n_gates=n_gates,
-        n_dffs=n_dffs, outputs=list(circuit.outputs),
+        source_name=circuit.name, names=names, index=index,
+        n_inputs=n_inputs, n_gates=n_gates, n_dffs=n_dffs,
+        outputs=list(circuit.outputs),
         op_code=op_code, arity=arity, gate_delay=gate_delay,
         gate_raw_ser=gate_raw_ser,
         fanin_indptr=fanin_indptr, fanin=fanin,

@@ -416,22 +416,6 @@ def observability_flat(flat: FlatCircuit,
 # Error-latching windows (eq. 3)
 # ----------------------------------------------------------------------
 
-def _elw_readers(flat: FlatCircuit) -> list[list[tuple[int, float]]]:
-    """Per node: ``(reader_gate_node, -delay(reader))`` pairs, memoized."""
-    cached = flat._memo.get("elw_readers")
-    if cached is not None:
-        return cached
-    neg_delay = (-flat.gate_delay).tolist()
-    readers = flat.reader.tolist()
-    indptr = flat.reader_indptr.tolist()
-    n_inputs = flat.n_inputs
-    nested = [[(r, neg_delay[r - n_inputs])
-               for r in readers[indptr[node]:indptr[node + 1]]]
-              for node in range(flat.n_nodes)]
-    flat._memo["elw_readers"] = nested
-    return nested
-
-
 def circuit_elws_flat(flat: FlatCircuit,
                       window: IntervalSet) -> dict[str, IntervalSet]:
     """Flat replacement for ``repro.core.elw._circuit_elws_impl``.
@@ -442,12 +426,15 @@ def circuit_elws_flat(flat: FlatCircuit,
     is confluent: pre-merging any subset (what the object core's
     intermediate ``shift``/``union`` sets do) never changes the final
     merged intervals.  Shifts use the identical float expression
-    ``endpoint + (-delay)``.
+    ``endpoint + (-delay)``; a node's readers come straight from the
+    reader CSR.
     """
-    readers = _elw_readers(flat)
+    neg_delay = (-flat.gate_delay).tolist()
+    readers = flat.reader.tolist()
+    indptr = flat.reader_indptr.tolist()
+    n_inputs = flat.n_inputs
     window_pairs = tuple(window.intervals)
-    is_po = flat.is_po
-    dff_read = flat.dff_read
+    latched = (flat.is_po | flat.dff_read).tolist()
     by_node: list[IntervalSet | None] = [None] * flat.n_nodes
 
     dff_base = flat.n_inputs + flat.n_gates
@@ -456,8 +443,9 @@ def circuit_elws_flat(flat: FlatCircuit,
         + list(range(dff_base, dff_base + flat.n_dffs))
     empty = IntervalSet.empty()
     for node in node_order:
-        pairs = list(window_pairs) if (is_po[node] or dff_read[node]) else []
-        for reader, offset in readers[node]:
+        pairs = list(window_pairs) if latched[node] else []
+        for reader in readers[indptr[node]:indptr[node + 1]]:
+            offset = neg_delay[reader - n_inputs]
             for left, right in by_node[reader].intervals:
                 pairs.append((left + offset, right + offset))
         by_node[node] = IntervalSet(pairs) if pairs else empty

@@ -8,6 +8,8 @@ loop passes through at least one register.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from ..errors import NetlistError
 from .cell_library import check_arity
 from .circuit import Circuit
@@ -29,26 +31,9 @@ def validate_circuit(circuit: Circuit, *, require_outputs: bool = True) -> None:
     """
     for gate in circuit.gates.values():
         check_arity(gate.op, len(gate.inputs))
-        for net in gate.inputs:
-            if not circuit.is_net(net):
-                raise NetlistError(
-                    f"gate {gate.name!r} reads undefined net {net!r}")
-    for dff in circuit.dffs.values():
-        if not circuit.is_net(dff.d):
-            raise NetlistError(
-                f"dff {dff.name!r} reads undefined net {dff.d!r}")
-    for net in circuit.outputs:
-        if not circuit.is_net(net):
-            raise NetlistError(f"primary output references undefined net {net!r}")
-
-    # Raises CombinationalCycleError when gate-only feedback exists.
-    circuit.topo_gates()
-
-    # Register-only cycles are not broken by topo_gates (registers are not
-    # part of the combinational order), so check them explicitly.
-    for dff in circuit.dffs.values():
-        circuit.comb_source(dff.name)
-
+    _check_references(circuit, lambda message, line: NetlistError(message),
+                      {}, {})
+    _check_cycles(circuit)
     if require_outputs and not circuit.outputs and not circuit.dffs:
         raise NetlistError(
             f"circuit {circuit.name!r} has no outputs and no registers; "
@@ -66,34 +51,51 @@ def validate_parsed(circuit: Circuit, decl_lines: dict[str, int],
     back to the line that introduced it and ``output_lines`` maps each
     declared primary output to its declaration line, so every failure
     raises a located :class:`~repro.errors.ParseError` instead of a bare
-    :class:`~repro.errors.NetlistError`.
+    :class:`~repro.errors.NetlistError`.  Arity is not re-checked: every
+    parsed :class:`~repro.netlist.circuit.Gate` checked it on
+    construction.
     """
     from ..errors import CombinationalCycleError, ParseError
 
-    for gate in circuit.gates.values():
-        for net in gate.inputs:
-            if not circuit.is_net(net):
-                raise ParseError(
-                    f"gate {gate.name!r} reads undefined net {net!r}",
-                    path, decl_lines.get(gate.name))
-    for dff in circuit.dffs.values():
-        if not circuit.is_net(dff.d):
-            raise ParseError(
-                f"dff {dff.name!r} reads undefined net {dff.d!r}",
-                path, decl_lines.get(dff.name))
-    for net in circuit.outputs:
-        if not circuit.is_net(net):
-            raise ParseError(
-                f"primary output references undefined net {net!r}",
-                path, output_lines.get(net))
-
+    _check_references(
+        circuit, lambda message, line: ParseError(message, path, line),
+        decl_lines, output_lines)
     try:
-        validate_circuit(circuit, require_outputs=False)
-    except ParseError:
-        raise
+        _check_cycles(circuit)
     except CombinationalCycleError as exc:
         lineno = min((decl_lines[g] for g in exc.cycle
                       if g in decl_lines), default=None)
         raise ParseError(str(exc), path, lineno) from exc
     except NetlistError as exc:
         raise ParseError(str(exc), path, None) from exc
+
+
+def _check_references(circuit: Circuit,
+                      error: Callable[[str, int | None], Exception],
+                      decl_lines: dict[str, int],
+                      output_lines: dict[str, int]) -> None:
+    """Raise ``error(message, line)`` at the first undefined reference."""
+    for gate in circuit.gates.values():
+        for net in gate.inputs:
+            if not circuit.is_net(net):
+                raise error(f"gate {gate.name!r} reads undefined net {net!r}",
+                            decl_lines.get(gate.name))
+    for dff in circuit.dffs.values():
+        if not circuit.is_net(dff.d):
+            raise error(f"dff {dff.name!r} reads undefined net {dff.d!r}",
+                        decl_lines.get(dff.name))
+    for net in circuit.outputs:
+        if not circuit.is_net(net):
+            raise error(f"primary output references undefined net {net!r}",
+                        output_lines.get(net))
+
+
+def _check_cycles(circuit: Circuit) -> None:
+    """Raise on gate-only or register-only feedback."""
+    # Raises CombinationalCycleError when gate-only feedback exists.
+    circuit.topo_gates()
+
+    # Register-only cycles are not broken by topo_gates (registers are not
+    # part of the combinational order), so check them explicitly.
+    for dff in circuit.dffs.values():
+        circuit.comb_source(dff.name)

@@ -87,10 +87,10 @@ def cached_initialize(circuit: Circuit, graph: RetimingGraph, setup: float,
     ``graph`` is a pure function of ``circuit``, so the key only needs
     the circuit's timing digest plus the initialization knobs.
     """
-    params = {"setup": float(setup), "hold": float(hold),
-              "epsilon": float(epsilon),
-              "maximal_start": bool(maximal_start)}
-    return cached("init", timing_digest(circuit), params,
+    return cached("init", lambda: (timing_digest(circuit), {
+                      "setup": float(setup), "hold": float(hold),
+                      "epsilon": float(epsilon),
+                      "maximal_start": bool(maximal_start)}),
                   compute=lambda: initialize(graph, setup, hold, epsilon,
                                              maximal_start=maximal_start),
                   encode=_encode_init, decode=_decode_init)
@@ -141,13 +141,14 @@ def cached_run_solver(circuit: Circuit, problem, r0: np.ndarray,
         if hooks.active() is not None or deadline is not None:
             return run_solver(problem, r0, algorithm, restart=restart,
                               deadline=deadline)
-        params = {"algorithm": algorithm, "restart": bool(restart),
-                  "phi": float(problem.phi), "rmin": float(problem.rmin),
-                  "setup": float(problem.setup),
-                  "hold": float(problem.hold),
-                  "r0": [int(x) for x in r0], "obs": obs_digest(obs),
-                  "n_patterns": int(n_patterns)}
-        return cached("solve", timing_digest(circuit), params,
+        return cached("solve", lambda: (timing_digest(circuit), {
+                          "algorithm": algorithm, "restart": bool(restart),
+                          "phi": float(problem.phi),
+                          "rmin": float(problem.rmin),
+                          "setup": float(problem.setup),
+                          "hold": float(problem.hold),
+                          "r0": [int(x) for x in r0], "obs": obs_digest(obs),
+                          "n_patterns": int(n_patterns)}),
                       compute=lambda: run_solver(problem, r0, algorithm,
                                                  restart=restart),
                       encode=_encode_solve, decode=_decode_solve)
@@ -167,17 +168,18 @@ def cached_verify_retimed(original: Circuit, retimed: Circuit,
         return verify_retimed(original, retimed, graph, r, phi, setup,
                               exact_states=exact_states, seed=seed)
 
+    def key() -> tuple[str, dict[str, Any]]:
+        return timing_digest(original), {
+            "retimed": timing_digest(retimed), "r": [int(x) for x in r],
+            "phi": float(phi), "setup": float(setup),
+            "exact_states": bool(exact_states),
+            "check_cycles": GUARD_CYCLES, "n_patterns": GUARD_PATTERNS,
+            "seed": int(seed)}
+
     with telemetry.span("verify"):
         if hooks.active() is not None:
             return compute()
-        params = {"retimed": timing_digest(retimed),
-                  "r": [int(x) for x in r], "phi": float(phi),
-                  "setup": float(setup),
-                  "exact_states": bool(exact_states),
-                  "check_cycles": GUARD_CYCLES,
-                  "n_patterns": GUARD_PATTERNS, "seed": int(seed)}
-        return cached("guard", timing_digest(original), params,
-                      compute=compute,
+        return cached("guard", key, compute=compute,
                       encode=lambda report: report.to_dict(),
                       decode=lambda payload: GuardReport(
                           ok=bool(payload["ok"]),

@@ -142,18 +142,19 @@ def analyze_ser(circuit: Circuit, phi: float,
         return _analyze_ser_impl(circuit, phi, setup, hold, obs,
                                  n_frames, n_patterns, seed, elws)
 
-    with telemetry.span("ser.analyze", circuit=circuit.name,
-                        incremental=elws is not None):
-        if elws is not None:
-            return compute()
-        params = {
+    def key() -> tuple[str, dict]:
+        return timing_digest(circuit), {
             "phi": float(phi), "setup": float(setup), "hold": float(hold),
             "obs": obs_digest(obs) if obs is not None else None,
             "sim": None if obs is not None
             else [int(n_frames), int(n_patterns), int(seed)],
         }
-        return cached("ser", timing_digest(circuit), params,
-                      compute=compute,
+
+    with telemetry.span("ser.analyze", circuit=circuit.name,
+                        incremental=elws is not None):
+        if elws is not None:
+            return compute()
+        return cached("ser", key, compute=compute,
                       encode=_encode_ser, decode=_decode_ser)
 
 

@@ -163,9 +163,10 @@ def observability(circuit: Circuit, n_frames: int = 15,
     with telemetry.span("sim.observability", circuit=circuit.name,
                         frames=int(n_frames), patterns=int(n_patterns),
                         seed=int(seed)):
-        params = {"n_frames": int(n_frames), "n_patterns": int(n_patterns),
-                  "seed": int(seed), "keep_masks": bool(keep_masks)}
-        return cached("obs", circuit.fingerprint(), params,
+        return cached("obs", lambda: (circuit.fingerprint(), {
+                          "n_frames": int(n_frames),
+                          "n_patterns": int(n_patterns), "seed": int(seed),
+                          "keep_masks": bool(keep_masks)}),
                       compute=lambda: _observability_impl(
                           circuit, n_frames, n_patterns, seed, keep_masks),
                       encode=_encode_obs_result, decode=_decode_obs_result)

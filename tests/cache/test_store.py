@@ -21,6 +21,11 @@ from repro.circuits import random_sequential_circuit
 DIG = "0" * 64  # placeholder circuit digest
 
 
+def placeholder_key():
+    """The ``cached`` key of the placeholder entry."""
+    return DIG, {"x": 1}
+
+
 def entry_file(cache, kind="obs", params=None):
     params = params if params is not None else {"x": 1}
     return cache.entry_path(kind, cache.key(kind, DIG, params))
@@ -225,7 +230,7 @@ class TestGlobalFrontDoor:
     def test_no_active_cache_is_identity(self):
         assert active() is None
         calls = []
-        out = cached("obs", DIG, {"x": 1},
+        out = cached("obs", lambda: pytest.fail("key computed uncached"),
                      compute=lambda: calls.append(1) or "fresh")
         assert out == "fresh" and calls == [1]
 
@@ -237,8 +242,8 @@ class TestGlobalFrontDoor:
             return {"v": 7}
 
         with activated(AnalysisCache()):
-            first = cached("obs", DIG, {"x": 1}, compute)
-            second = cached("obs", DIG, {"x": 1}, compute)
+            first = cached("obs", placeholder_key, compute)
+            second = cached("obs", placeholder_key, compute)
         assert first == second == {"v": 7}
         assert calls == [1]
 
@@ -253,10 +258,10 @@ class TestGlobalFrontDoor:
             return np.array(words, dtype=np.uint64)
 
         with activated(AnalysisCache(tmp_path)):
-            cold = cached("obs", DIG, {"x": 1}, compute,
+            cold = cached("obs", placeholder_key, compute,
                           encode=encode, decode=decode)
         with activated(AnalysisCache(tmp_path)):
-            warm = cached("obs", DIG, {"x": 1},
+            warm = cached("obs", placeholder_key,
                           lambda: pytest.fail("must not recompute"),
                           encode=encode, decode=decode)
         assert warm.dtype == np.uint64
@@ -264,7 +269,7 @@ class TestGlobalFrontDoor:
 
     def test_store_false_keeps_value_out(self):
         with activated(AnalysisCache()) as cache:
-            cached("obs", DIG, {"x": 1}, lambda: "tainted", store=False)
+            cached("obs", placeholder_key, lambda: "tainted", store=False)
             assert cache.get("obs", DIG, {"x": 1}) is MISS
 
     def test_configure_and_deactivate(self):

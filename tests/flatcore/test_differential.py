@@ -17,6 +17,7 @@ cores); the full 36-cell sweep runs in the CI ``flatcore`` job under
 """
 
 import contextlib
+import dataclasses
 import os
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.corpus import (
     tier_specs,
 )
 from repro.corpus.matrix import GOLDEN_BASENAME, compare_digest_tables
-from repro.flatcore import lower, validate_flat
+from repro.flatcore import FlatCircuit, lower, validate_flat
 from repro.ser.analysis import analyze_ser
 from repro.sim.bitvec import random_patterns
 from repro.sim.logicsim import simulate_comb
@@ -55,6 +56,10 @@ PHI = 8.0
 #: The two-cell matrix slice tier-1 uses (mirrors tests/corpus).
 SUBSET = dict(circuits=("cslow_a", "mesh_a"),
               scenarios=("shallow-both",))
+
+#: Every numpy buffer of a lowered arena.
+BUFFERS = [f.name for f in dataclasses.fields(FlatCircuit)
+           if f.type == "np.ndarray"]
 
 _CIRCUITS = {}
 
@@ -86,10 +91,20 @@ class TestLoweringRoundTrip:
         assert flat.n_dffs == len(circuit.dffs)
 
     def test_lowering_is_deterministic(self, circuit):
-        assert lower(circuit).digest == lower(circuit).digest
-        assert lower(circuit).digest != lower(
-            small_circuit(SMALL_NAMES[0])).digest \
-            or circuit.name == SMALL_NAMES[0]
+        assert len(BUFFERS) == 18
+        first, second = lower(circuit), lower(circuit)
+        assert first.names == second.names
+        assert first.outputs == second.outputs
+        for name in BUFFERS:
+            a, b = getattr(first, name), getattr(second, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        other = lower(small_circuit(SMALL_NAMES[0]))
+        assert circuit.name == SMALL_NAMES[0] or \
+            first.names != other.names or any(
+                not np.array_equal(getattr(first, name),
+                                   getattr(other, name))
+                for name in BUFFERS)
 
 
 class TestRecorderRngContract:
