@@ -2,24 +2,54 @@
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Sequence
-from typing import TypeVar
+import functools
+import gc
+from collections.abc import Callable, Collection, Hashable, Iterable, \
+    Sequence
+from typing import Any, TypeVar, cast
 
 from .errors import CombinationalCycleError
 
 T = TypeVar("T", bound=Hashable)
+F = TypeVar("F", bound=Callable[..., Any])
+
+
+def nogc(func: F) -> F:
+    """Decorator: run ``func`` with the cyclic garbage collector paused.
+
+    The bulk builders allocate hundreds of thousands of acyclic objects
+    (gates, edges, intervals); every allocation threshold crossed while
+    they run would rescan all of them for cycles they cannot contain.
+    The collector is re-enabled on exit only if it was enabled on entry,
+    so nested decorated calls leave it to the outermost one.  The
+    collector switch is process-wide: when two threads overlap, the one
+    that paused it first restores it.
+    """
+    @functools.wraps(func)
+    def wrapper(*args: Any, **kwargs: Any) -> Any:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return cast(F, wrapper)
 
 
 def topological_order(
     nodes: Iterable[T],
     predecessors: Callable[[T], Iterable[T]],
 ) -> list[T]:
-    """Return a topological order of ``nodes`` (Kahn's algorithm).
+    """Return a topological order of the distinct ``nodes`` (Kahn's
+    algorithm).
 
     ``predecessors(n)`` must yield the nodes that have to precede ``n``;
-    predecessors outside ``nodes`` are ignored (they act as sources).
-    The order is deterministic: ties are broken by input iteration order.
+    predecessors outside ``nodes`` are ignored (they act as sources), and
+    a predecessor yielded twice counts twice.  The order is
+    deterministic: ready nodes leave in first-in-first-out order, seeded
+    in input iteration order.
 
     Raises
     ------
@@ -27,36 +57,37 @@ def topological_order(
         If the restriction of the dependency relation to ``nodes`` is cyclic.
     """
     node_list = list(nodes)
-    node_set = set(node_list)
-    indegree: dict[T, int] = {}
-    successors: dict[T, list[T]] = {n: [] for n in node_list}
-    for n in node_list:
-        preds = [p for p in predecessors(n) if p in node_set]
-        indegree[n] = len(preds)
-        for p in preds:
-            successors[p].append(n)
+    position = {n: i for i, n in enumerate(node_list)}
+    indegree = [0] * len(node_list)
+    successors: list[list[int]] = [[] for _ in node_list]
+    lookup = position.get
+    for i, n in enumerate(node_list):
+        for p in predecessors(n):
+            j = lookup(p)
+            if j is not None:
+                indegree[i] += 1
+                successors[j].append(i)
 
-    queue = deque(n for n in node_list if indegree[n] == 0)
-    order: list[T] = []
-    while queue:
-        n = queue.popleft()
-        order.append(n)
-        for s in successors[n]:
+    # The order list doubles as the FIFO queue: iterating it while
+    # appending visits nodes in exactly the order they became ready.
+    order = [i for i, d in enumerate(indegree) if d == 0]
+    for i in order:
+        for s in successors[i]:
             indegree[s] -= 1
             if indegree[s] == 0:
-                queue.append(s)
+                order.append(s)
 
     if len(order) != len(node_list):
-        remaining = [n for n in node_list if indegree[n] > 0]
-        cycle = _find_cycle(remaining, predecessors, node_set)
+        remaining = [n for n, d in zip(node_list, indegree) if d > 0]
+        cycle = _find_cycle(remaining, predecessors, position)
         raise CombinationalCycleError([str(n) for n in cycle])
-    return order
+    return [node_list[i] for i in order]
 
 
 def _find_cycle(
     candidates: Sequence[T],
     predecessors: Callable[[T], Iterable[T]],
-    node_set: set[T],
+    node_set: Collection[T],
 ) -> list[T]:
     """Extract one concrete cycle from a set of nodes known to contain one."""
     candidate_set = set(candidates)

@@ -41,7 +41,9 @@ stopped it, resume later" from real failures.
 
 ``table1``, ``chaos`` and ``matrix`` accept ``--trace``/``--trace-dir``
 (structured span trace of the run) and ``--metrics-out``
-(metrics-registry dump); ``table1`` and ``serve`` additionally accept
+(metrics-registry dump); ``analyze`` accepts ``--trace``/``--trace-dir``
+(one span per phase: parse, graph and period, observability, SER);
+``table1`` and ``serve`` additionally accept
 ``--profile`` (periodic stack-sampling profiler, rendered by ``trace
 flame``).
 
@@ -108,20 +110,44 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .graph.timing import achieved_period
     from .ser.analysis import analyze_ser
     from .ser.report import format_ser_report
+    from .sim.odc import observability
+    from .telemetry import Tracer
+    from .telemetry import spans as telemetry
 
-    circuit = _load(args.netlist)
-    # Use the library's register characterization exactly the way
-    # pipeline.optimize_circuit does, so the SER reported here matches
-    # the pipeline's numbers for the same netlist and clock period.
-    setup = circuit.library.setup_time
-    hold = circuit.library.hold_time
-    if args.phi is None:
-        graph = RetimingGraph.from_circuit(circuit)
-        args.phi = achieved_period(graph, graph.zero_retiming(), setup)
-    analysis = analyze_ser(circuit, args.phi, setup, hold,
-                           n_frames=args.frames, n_patterns=args.patterns,
-                           seed=args.seed)
+    trace_path = _trace_path(args, "analyze")
+    tracer = Tracer(trace_path, meta={"kind": "analyze",
+                                      "netlist": args.netlist}) \
+        if trace_path else None
+    # One span per phase, so a traced run splits its own wall time.
+    try:
+        with telemetry.installed(tracer), telemetry.span("circuit"):
+            with telemetry.span("stage:parse"):
+                circuit = _load(args.netlist)
+            telemetry.add_attrs(circuit=circuit.name)
+            # Use the library's register characterization exactly the
+            # way pipeline.optimize_circuit does, so the SER reported
+            # here matches the pipeline's numbers for the same netlist
+            # and clock period.
+            setup = circuit.library.setup_time
+            hold = circuit.library.hold_time
+            if args.phi is None:
+                with telemetry.span("stage:graph"):
+                    graph = RetimingGraph.from_circuit(circuit)
+                    args.phi = achieved_period(graph, graph.zero_retiming(),
+                                               setup)
+            with telemetry.span("stage:observability"):
+                obs = observability(circuit, n_frames=args.frames,
+                                    n_patterns=args.patterns,
+                                    seed=args.seed).obs
+            with telemetry.span("stage:ser"):
+                analysis = analyze_ser(circuit, args.phi, setup, hold,
+                                       obs=obs)
+    finally:
+        if tracer is not None:
+            tracer.close()
     print(format_ser_report(circuit.name, analysis, top=args.top))
+    if trace_path:
+        print(f"span trace written to {trace_path}", file=sys.stderr)
     return 0
 
 
@@ -564,6 +590,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation patterns K")
         p.add_argument("--seed", type=int, default=0)
 
+    def trace_file_opts(p):
+        p.add_argument("--trace", default=None, metavar="FILE",
+                       help="write a structured span trace (JSONL) of "
+                            "the run here; read it back with "
+                            "'repro-ser trace'")
+        p.add_argument("--trace-dir", default=None, metavar="DIR",
+                       help="like --trace, but pick the file name "
+                            "(trace-<command>.jsonl) inside DIR")
+
+    def trace_opts(p):
+        trace_file_opts(p)
+        p.add_argument("--metrics-out", default=None, metavar="FILE",
+                       help="dump the metrics registry after the run "
+                            "(JSON, or Prometheus text for .prom/.txt)")
+
     p = sub.add_parser("analyze", help="SER analysis of a netlist")
     p.add_argument("netlist")
     p.add_argument("--phi", type=float, default=None,
@@ -571,6 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10,
                    help="contributors to list")
     common(p)
+    trace_file_opts(p)
     p.set_defaults(func=cmd_analyze)
 
     def solver_opts(p):
@@ -584,18 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-stage wall-clock budget; an expired "
                             "solve yields its best feasible retiming "
                             "(table1 degrades, retime/compare abort)")
-
-    def trace_opts(p):
-        p.add_argument("--trace", default=None, metavar="FILE",
-                       help="write a structured span trace (JSONL) of "
-                            "the run here; read it back with "
-                            "'repro-ser trace'")
-        p.add_argument("--trace-dir", default=None, metavar="DIR",
-                       help="like --trace, but pick the file name "
-                            "(trace-<command>.jsonl) inside DIR")
-        p.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="dump the metrics registry after the run "
-                            "(JSON, or Prometheus text for .prom/.txt)")
 
     def profile_opts(p):
         p.add_argument("--profile", default=None, metavar="FILE",

@@ -24,6 +24,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from .._util import nogc
 from ..cache import cached, timing_digest
 from ..graph.retiming_graph import RetimingGraph
 from ..netlist.circuit import Circuit
@@ -78,6 +79,7 @@ def _decode_elws(payload: Mapping[str, list]) -> dict[str, IntervalSet]:
     return {net: IntervalSet(pairs) for net, pairs in payload.items()}
 
 
+@nogc
 def circuit_elws(circuit: Circuit, phi: float, setup: float = 0.0,
                  hold: float = 2.0) -> dict[str, IntervalSet]:
     """Exact ELW of every net of ``circuit`` (gates, registers and inputs).

@@ -13,6 +13,21 @@ import math
 from collections.abc import Iterable, Sequence
 
 
+def _merge(pairs: Iterable[tuple[float, float]],
+           ) -> tuple[tuple[float, float], ...]:
+    """Merge sorted pairs into disjoint intervals, dropping empty ones."""
+    merged: list[tuple[float, float]] = []
+    for left, right in pairs:
+        if left > right:
+            continue
+        if merged and left <= merged[-1][1]:
+            if right > merged[-1][1]:
+                merged[-1] = (merged[-1][0], right)
+        else:
+            merged.append((left, right))
+    return tuple(merged)
+
+
 class IntervalSet:
     """An immutable union of disjoint, sorted, closed intervals.
 
@@ -25,16 +40,26 @@ class IntervalSet:
     __slots__ = ("_intervals",)
 
     def __init__(self, intervals: Iterable[Sequence[float]] = ()):
-        merged: list[tuple[float, float]] = []
-        for left, right in sorted((float(l), float(r)) for l, r in intervals):
-            if left > right:
-                continue
-            if merged and left <= merged[-1][1]:
-                if right > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], right)
-            else:
-                merged.append((left, right))
-        self._intervals: tuple[tuple[float, float], ...] = tuple(merged)
+        self._intervals: tuple[tuple[float, float], ...] = _merge(
+            sorted((float(l), float(r)) for l, r in intervals))
+
+    @classmethod
+    def _from_float_pairs(cls,
+                          pairs: list[tuple[float, float]]) -> "IntervalSet":
+        """The set of ``pairs``, which must already be float tuples.
+
+        Equal to ``IntervalSet(pairs)`` without the per-endpoint
+        ``float()`` and, for a single pair, the sort.  Sorts ``pairs``
+        in place.
+        """
+        self = cls.__new__(cls)
+        if len(pairs) == 1:
+            left, right = pair = pairs[0]
+            self._intervals = (pair,) if left <= right else ()
+        else:
+            pairs.sort()
+            self._intervals = _merge(pairs)
+        return self
 
     # ------------------------------------------------------------------
     # Constructors

@@ -51,6 +51,7 @@ from ..circuits.generators import (
     random_sequential_circuit,
     tree_circuit,
 )
+from .._util import nogc
 from ..errors import NetlistError
 from ..netlist.cell_library import (
     CellLibrary,
@@ -213,6 +214,7 @@ class CircuitSpec:
                    library=str(data["library"]))
 
 
+@nogc
 def build_circuit(spec: CircuitSpec) -> Circuit:
     """Build a spec's circuit from scratch (private RNG stream)."""
     family = FAMILIES[spec.family]

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import nogc
 from ..errors import FlatCoreError
 from ..netlist.cell_library import SUPPORTED_OPS
 from ..netlist.circuit import Circuit
@@ -147,6 +148,7 @@ class FlatCircuit:
         return self.n_inputs + ordinal
 
 
+@nogc
 def lower(circuit: Circuit) -> FlatCircuit:
     """Lower ``circuit`` to a :class:`FlatCircuit`.
 
@@ -171,34 +173,30 @@ def lower(circuit: Circuit) -> FlatCircuit:
     # Topological order first: raises CombinationalCycleError eagerly.
     topo_names = circuit.topo_gates()
 
-    op_code = np.zeros(n_gates, dtype=np.int32)
-    arity = np.zeros(n_gates, dtype=np.int32)
-    gate_delay = np.zeros(n_gates, dtype=np.float64)
-    gate_raw_ser = np.zeros(n_gates, dtype=np.float64)
-    fanin_counts = np.zeros(n_gates, dtype=np.int64)
-
     gates = list(circuit.gates.values())
-    # Library rates memoized per (op, arity): the library re-validates
-    # arity on every call, which is pure overhead across 10^5 gates
-    # drawn from a handful of cell types.
-    rates: dict[tuple[str, int], tuple[float, float]] = {}
-    for g, gate in enumerate(gates):
-        code = OP_CODES.get(gate.op)
-        if code is None:
-            raise FlatCoreError(
-                f"gate {g} ({gate.name!r}): unsupported op {gate.op!r}")
-        n_ins = len(gate.inputs)
-        op_code[g] = code
-        arity[g] = n_ins
-        fanin_counts[g] = n_ins
-        key = (gate.op, n_ins)
-        rate = rates.get(key)
-        if rate is None:
-            rate = (circuit.library.delay(gate.op, n_ins),
-                    circuit.library.raw_ser(gate.op, n_ins))
-            rates[key] = rate
-        gate_delay[g] = rate[0]
-        gate_raw_ser[g] = rate[1]
+    try:
+        op_code = np.array([OP_CODES[gate.op] for gate in gates],
+                           dtype=np.int32)
+    except KeyError:
+        for g, gate in enumerate(gates):
+            if gate.op not in OP_CODES:
+                raise FlatCoreError(
+                    f"gate {g} ({gate.name!r}): unsupported op "
+                    f"{gate.op!r}") from None
+        raise  # pragma: no cover - unreachable
+    cells = [(gate.op, len(gate.inputs)) for gate in gates]
+    fanin_counts = np.array([n_ins for _, n_ins in cells], dtype=np.int64)
+    arity = fanin_counts.astype(np.int32)
+    # Library rates looked up once per (op, arity): the library
+    # re-validates arity on every call, which is pure overhead across
+    # 10^5 gates drawn from a handful of cell types.
+    library = circuit.library
+    rates = {cell: (library.delay(*cell), library.raw_ser(*cell))
+             for cell in dict.fromkeys(cells)}
+    rate_table = np.array([rates[cell] for cell in cells],
+                          dtype=np.float64).reshape(n_gates, 2)
+    gate_delay = np.ascontiguousarray(rate_table[:, 0])
+    gate_raw_ser = np.ascontiguousarray(rate_table[:, 1])
 
     fanin_indptr = np.zeros(n_gates + 1, dtype=np.int64)
     np.cumsum(fanin_counts, out=fanin_indptr[1:])
@@ -216,27 +214,32 @@ def lower(circuit: Circuit) -> FlatCircuit:
         raise  # pragma: no cover - unreachable
     fanin = np.asarray(fanin_list, dtype=np.int64) \
         if fanin_list else np.zeros(0, dtype=np.int64)
-    edge_gate_list: list[int] = []
-    edge_src_list: list[int] = []
-    for g, gate in enumerate(gates):
-        node = n_inputs + g
-        srcs = gate.inputs if len(gate.inputs) == 1 \
-            else dict.fromkeys(gate.inputs)
-        for src_name in srcs:
-            edge_gate_list.append(node)
-            edge_src_list.append(index[src_name])
-    edge_gate = np.asarray(edge_gate_list, dtype=np.int64)
-    edge_src = np.asarray(edge_src_list, dtype=np.int64)
+    # Distinct (gate, source) edges: each connection but the repeats of
+    # a source within one gate, kept at its first port, so the edges
+    # stay gate-major in port order.  Sorting by (gate, source, port)
+    # puts every repeat right after its first occurrence.
+    owner = np.repeat(np.arange(n_inputs, n_inputs + n_gates,
+                                dtype=np.int64), fanin_counts)
+    by_pair = np.lexsort((fanin, owner))
+    first = np.ones(len(fanin), dtype=bool)
+    first[1:] = (np.diff(owner[by_pair]) != 0) \
+        | (np.diff(fanin[by_pair]) != 0)
+    keep = np.empty(len(fanin), dtype=bool)
+    keep[by_pair] = first
+    edge_gate = owner[keep]
+    edge_src = fanin[keep]
 
-    dff_d = np.zeros(n_dffs, dtype=np.int64)
-    dff_init = np.zeros(n_dffs, dtype=np.int8)
-    for k, dff in enumerate(circuit.dffs.values()):
-        d = index.get(dff.d)
-        if d is None:
-            raise FlatCoreError(
-                f"dff {k} ({dff.name!r}): data net {dff.d!r} is undefined")
-        dff_d[k] = d
-        dff_init[k] = dff.init
+    dffs = list(circuit.dffs.values())
+    try:
+        dff_d = np.array([index[dff.d] for dff in dffs], dtype=np.int64)
+    except KeyError:
+        for k, dff in enumerate(dffs):
+            if dff.d not in index:
+                raise FlatCoreError(
+                    f"dff {k} ({dff.name!r}): data net {dff.d!r} is "
+                    f"undefined") from None
+        raise  # pragma: no cover - unreachable
+    dff_init = np.array([dff.init for dff in dffs], dtype=np.int8)
 
     # Fanout CSR: the exact transpose of fanin plus register data reads,
     # matching Circuit.fanouts (per connection, gates before dffs).
@@ -246,9 +249,7 @@ def lower(circuit: Circuit) -> FlatCircuit:
     dff_base = n_inputs + n_gates
     conn_src = np.concatenate([fanin, dff_d])
     conn_reader = np.concatenate([
-        np.repeat(np.arange(n_inputs, dff_base, dtype=np.int64),
-                  fanin_counts),
-        np.arange(dff_base, dff_base + n_dffs, dtype=np.int64)])
+        owner, np.arange(dff_base, dff_base + n_dffs, dtype=np.int64)])
     fanout_counts = np.bincount(conn_src, minlength=n_nodes) \
         if len(conn_src) else np.zeros(n_nodes, dtype=np.int64)
     fanout_indptr = np.zeros(n_nodes + 1, dtype=np.int64)
@@ -259,8 +260,7 @@ def lower(circuit: Circuit) -> FlatCircuit:
     # A stable sort keeps each net's readers in gate declaration order.
     if len(edge_src):
         order = np.argsort(edge_src, kind="stable")
-        reader_counts = np.zeros(n_nodes, dtype=np.int64)
-        np.add.at(reader_counts, edge_src, 1)
+        reader_counts = np.bincount(edge_src, minlength=n_nodes)
         reader_indptr = np.zeros(n_nodes + 1, dtype=np.int64)
         np.cumsum(reader_counts, out=reader_indptr[1:])
         reader = edge_gate[order]
@@ -280,22 +280,17 @@ def lower(circuit: Circuit) -> FlatCircuit:
     # Topological levels: sources are level 0, a gate one past its
     # deepest gate fanin.  Plain-list arithmetic: per-gate numpy calls
     # on 2-3-element slices cost more than the whole sweep.
-    level_list = [0] * n_gates
     node_level = [0] * n_nodes
-    topo_list = [0] * n_gates
-    indptr_list = fanin_indptr.tolist()
-    for t, gate_name in enumerate(topo_names):
-        node = index[gate_name]
+    level_of = node_level.__getitem__
+    topo_list = [index[gate_name] for gate_name in topo_names]
+    fanin_bounds = fanin_indptr.tolist()
+    for node in topo_list:
         g = node - n_inputs
-        lo, hi = indptr_list[g], indptr_list[g + 1]
-        deepest = max((node_level[s] for s in fanin_list[lo:hi]), default=0)
-        level_list[g] = deepest + 1
-        node_level[node] = deepest + 1
-        topo_list[t] = node
-    level = np.asarray(level_list, dtype=np.int32) \
-        if n_gates else np.zeros(0, dtype=np.int32)
-    topo = np.asarray(topo_list, dtype=np.int64) \
-        if n_gates else np.zeros(0, dtype=np.int64)
+        node_level[node] = 1 + max(
+            map(level_of, fanin_list[fanin_bounds[g]:fanin_bounds[g + 1]]),
+            default=0)
+    level = np.array(node_level[n_inputs:dff_base], dtype=np.int32)
+    topo = np.array(topo_list, dtype=np.int64)
 
     programs = _build_programs(op_code, arity, fanin_indptr, fanin, level,
                                n_inputs, n_nodes)

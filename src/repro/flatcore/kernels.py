@@ -427,7 +427,8 @@ def circuit_elws_flat(flat: FlatCircuit,
     intermediate ``shift``/``union`` sets do) never changes the final
     merged intervals.  Shifts use the identical float expression
     ``endpoint + (-delay)``; a node's readers come straight from the
-    reader CSR.
+    reader CSR.  Every endpoint is already a float, so the pairs skip
+    the public constructor's ``float()`` pass.
     """
     neg_delay = (-flat.gate_delay).tolist()
     readers = flat.reader.tolist()
@@ -442,13 +443,14 @@ def circuit_elws_flat(flat: FlatCircuit,
         + list(range(flat.n_inputs)) \
         + list(range(dff_base, dff_base + flat.n_dffs))
     empty = IntervalSet.empty()
+    from_pairs = IntervalSet._from_float_pairs
     for node in node_order:
         pairs = list(window_pairs) if latched[node] else []
         for reader in readers[indptr[node]:indptr[node + 1]]:
             offset = neg_delay[reader - n_inputs]
             for left, right in by_node[reader].intervals:
                 pairs.append((left + offset, right + offset))
-        by_node[node] = IntervalSet(pairs) if pairs else empty
+        by_node[node] = from_pairs(pairs) if pairs else empty
     return {flat.names[node]: by_node[node] for node in node_order}
 
 

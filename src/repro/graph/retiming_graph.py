@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import topological_order
+from .._util import nogc, topological_order
 from ..errors import NetlistError, RetimingError
 from ..netlist.circuit import Circuit
 
@@ -29,7 +29,7 @@ from ..netlist.circuit import Circuit
 HOST = "__host__"
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     """A retiming-graph edge.
 
@@ -107,6 +107,7 @@ class RetimingGraph:
         return eidx
 
     @classmethod
+    @nogc
     def from_circuit(cls, circuit: Circuit) -> "RetimingGraph":
         """Build the retiming graph of ``circuit``.
 
@@ -114,28 +115,48 @@ class RetimingGraph:
         weights; primary inputs and outputs connect to the host vertex.
         A primary output fed (possibly through registers) by a primary
         input becomes a fixed host-to-host edge.
+
+        Builds exactly what :meth:`add_vertex` per gate and
+        :meth:`add_edge` per connection would, without their per-call
+        checks: gate names are distinct and every edge weight is a
+        register count.
         """
         graph = cls()
+        if HOST in circuit.gates:
+            raise NetlistError(f"duplicate vertex {HOST!r}")
+        names, index, delays = graph.names, graph.index, graph.delays
+        edges, out_edges, in_edges = graph.edges, graph.out_edges, \
+            graph.in_edges
         for gate_name in circuit.gates:
-            graph.add_vertex(gate_name, circuit.gate_delay(gate_name))
+            delay = circuit.gate_delay(gate_name)
+            if delay < 0:
+                raise NetlistError(
+                    f"vertex {gate_name!r} has negative delay")
+            index[gate_name] = len(names)
+            names.append(gate_name)
+            delays.append(float(delay))
+            out_edges.append([])
+            in_edges.append([])
 
-        def endpoint(net: str) -> tuple[int, int, str]:
-            """Map a net to (vertex index, chain length, source net)."""
-            source, count = circuit.comb_source(net)
-            if source in circuit.gates:
-                return graph.index[source], count, source
-            # primary input (constants are gates, handled above)
-            return 0, count, source
+        # Chain of each register; anything else is its own source with
+        # no register on the way.  A source that is not a gate is a
+        # primary input (constants are gates): the host, vertex 0.
+        sources = circuit.register_sources()
 
-        for gate in circuit.gates.values():
-            vi = graph.index[gate.name]
+        def connect(net: str, vi: int, tag: tuple) -> None:
+            source, w = sources.get(net) or (net, 0)
+            ui = index.get(source, 0)
+            eidx = len(edges)
+            edges.append(Edge(ui, vi, w, source, tag))
+            out_edges[ui].append(eidx)
+            in_edges[vi].append(eidx)
+
+        for vi, gate in enumerate(circuit.gates.values(), start=1):
+            name = gate.name
             for port, net in enumerate(gate.inputs):
-                ui, w, src = endpoint(net)
-                graph.add_edge(ui, vi, w, src,
-                               ("gate_in", gate.name, port))
+                connect(net, vi, ("gate_in", name, port))
         for po_index, net in enumerate(circuit.outputs):
-            ui, w, src = endpoint(net)
-            graph.add_edge(ui, 0, w, src, ("po", po_index))
+            connect(net, 0, ("po", po_index))
         return graph
 
     # ------------------------------------------------------------------

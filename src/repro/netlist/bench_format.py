@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import os
 
+from .._util import nogc
 from ..errors import ParseError
 from ..faultplane.hooks import fault_point
 from .cell_library import SUPPORTED_OPS, CellLibrary
@@ -29,6 +30,7 @@ from .circuit import Circuit
 _OPS = set(SUPPORTED_OPS)
 
 
+@nogc
 def loads_bench(text: str, name: str = "bench",
                 library: CellLibrary | None = None,
                 path: str | None = None) -> Circuit:
@@ -44,10 +46,10 @@ def loads_bench(text: str, name: str = "bench",
     decl_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        upper = line.upper()
+        upper = line[:7].upper()
         if upper.startswith("INPUT(") or upper.startswith("OUTPUT("):
             keyword, rest = line.split("(", 1)
             if not rest.rstrip().endswith(")"):
@@ -66,16 +68,18 @@ def loads_bench(text: str, name: str = "bench",
                 pending_outputs.append((net, lineno))
             continue
 
-        if "=" not in line:
+        lhs, eq, rhs = line.partition("=")
+        if not eq:
             raise ParseError(f"cannot parse line {line!r}", path, lineno)
-        lhs, rhs = (part.strip() for part in line.split("=", 1))
-        if "(" not in rhs or not rhs.endswith(")"):
+        lhs = lhs.strip()
+        rhs = rhs.strip()
+        op, paren, args_text = rhs.partition("(")
+        if not paren or not rhs.endswith(")"):
             raise ParseError(f"cannot parse expression {rhs!r}", path, lineno)
-        op, args_text = rhs.split("(", 1)
         op = op.strip().upper()
         args_text = args_text[:-1].strip()
         args = [a.strip() for a in args_text.split(",")] if args_text else []
-        if args_text and any(not a for a in args):
+        if not all(args):
             raise ParseError(f"empty argument in {rhs!r}", path, lineno)
 
         try:
@@ -119,6 +123,7 @@ def load_bench(path: str | os.PathLike[str],
     return loads_bench(text, name=base, library=library, path=path)
 
 
+@nogc
 def dumps_bench(circuit: Circuit) -> str:
     """Serialize ``circuit`` to ``.bench`` source text.
 

@@ -19,6 +19,7 @@ import io
 import itertools
 import os
 
+from .._util import nogc
 from ..errors import ParseError
 from ..faultplane.hooks import fault_point
 from .cell_library import CellLibrary, evaluate_op
@@ -83,6 +84,7 @@ def _match_op(table: list[int], n_inputs: int) -> str | None:
     return None
 
 
+@nogc
 def loads_blif(text: str, library: CellLibrary | None = None,
                path: str | None = None) -> Circuit:
     """Parse BLIF source text into a :class:`Circuit`."""

@@ -23,7 +23,7 @@ from ..errors import NetlistError
 from .cell_library import GENERIC_LIBRARY, CellLibrary, check_arity
 
 
-@dataclass
+@dataclass(slots=True)
 class Gate:
     """A combinational gate driving the net named ``name``.
 
@@ -48,7 +48,7 @@ class Gate:
         check_arity(self.op, len(self.inputs))
 
 
-@dataclass
+@dataclass(slots=True)
 class DFF:
     """A D flip-flop driving the net named ``name``.
 
@@ -103,7 +103,7 @@ class Circuit:
     # ------------------------------------------------------------------
 
     def _check_fresh(self, name: str) -> None:
-        if self.is_net(name):
+        if name in self.gates or name in self.dffs or self._is_input(name):
             raise NetlistError(f"net {name!r} already defined")
 
     def add_input(self, name: str) -> str:
@@ -124,7 +124,7 @@ class Circuit:
 
     def add_gate(self, name: str, op: str, inputs: Sequence[str]) -> str:
         """Add a combinational gate; returns the driven net name."""
-        gate = Gate(name, op, list(inputs))
+        gate = Gate(name, op, inputs)  # __post_init__ copies inputs
         self._check_fresh(name)
         self.gates[name] = gate
         self._invalidate()
@@ -207,12 +207,11 @@ class Circuit:
         feedback loops.
         """
         if self._topo_cache is None:
-            gate_names = list(self.gates)
-
-            def preds(g: str) -> list[str]:
-                return [i for i in self.gates[g].inputs if i in self.gates]
-
-            self._topo_cache = topological_order(gate_names, preds)
+            gates = self.gates
+            # topological_order ignores predecessors outside the gate
+            # set, so inputs and flip-flop outputs need no filtering.
+            self._topo_cache = topological_order(
+                gates, lambda g: gates[g].inputs)
         return list(self._topo_cache)
 
     def gate_delay(self, name: str) -> float:
@@ -248,6 +247,40 @@ class Circuit:
             net = self.dffs[net].d
             count += 1
         return net, count
+
+    def register_sources(self) -> dict[str, tuple[str, int]]:
+        """:meth:`comb_source` of every flip-flop, keyed by its name.
+
+        Walks each register chain once: a walk stops at the first
+        register already resolved and shares its answer.  Raises the
+        :class:`NetlistError` that calling :meth:`comb_source` on the
+        flip-flops in declaration order would raise first.  The result
+        is built per call, never kept on the circuit.
+        """
+        dffs = self.dffs
+        sources: dict[str, tuple[str, int] | None] = {}
+        for name, dff in dffs.items():
+            if dff.d not in dffs:  # the chain is this register alone
+                sources[name] = (dff.d, 1)
+                continue
+            net = name
+            path: list[str] = []
+            while net in dffs and net not in sources:
+                sources[net] = None  # on the chain being walked
+                path.append(net)
+                net = dffs[net].d
+            if net in sources:
+                known = sources[net]
+                if known is None:
+                    raise NetlistError(f"register-only cycle through "
+                                       f"{net!r}; insert a BUF gate")
+                source, count = known
+            else:
+                source, count = net, 0
+            for register in reversed(path):
+                count += 1
+                sources[register] = (source, count)
+        return sources  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Statistics and copying

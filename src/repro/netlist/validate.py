@@ -75,17 +75,23 @@ def _check_references(circuit: Circuit,
                       decl_lines: dict[str, int],
                       output_lines: dict[str, int]) -> None:
     """Raise ``error(message, line)`` at the first undefined reference."""
-    for gate in circuit.gates.values():
+    gates, dffs = circuit.gates, circuit.dffs
+    inputs = set(circuit.inputs)
+
+    def is_net(net: str) -> bool:  # Circuit.is_net, one set per call
+        return net in gates or net in dffs or net in inputs
+
+    for gate in gates.values():
         for net in gate.inputs:
-            if not circuit.is_net(net):
+            if not is_net(net):
                 raise error(f"gate {gate.name!r} reads undefined net {net!r}",
                             decl_lines.get(gate.name))
-    for dff in circuit.dffs.values():
-        if not circuit.is_net(dff.d):
+    for dff in dffs.values():
+        if not is_net(dff.d):
             raise error(f"dff {dff.name!r} reads undefined net {dff.d!r}",
                         decl_lines.get(dff.name))
     for net in circuit.outputs:
-        if not circuit.is_net(net):
+        if not is_net(net):
             raise error(f"primary output references undefined net {net!r}",
                         output_lines.get(net))
 
@@ -97,5 +103,4 @@ def _check_cycles(circuit: Circuit) -> None:
 
     # Register-only cycles are not broken by topo_gates (registers are not
     # part of the combinational order), so check them explicitly.
-    for dff in circuit.dffs.values():
-        circuit.comb_source(dff.name)
+    circuit.register_sources()

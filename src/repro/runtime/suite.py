@@ -54,7 +54,7 @@ from ..pipeline import (ALGORITHMS, AlgorithmOutcome, PipelineResult,
                         build_problem, compute_observability,
                         rebuild_retimed_states, run_solver, table1_row)
 from ..reporting import result_to_dict
-from ..ser.analysis import analyze_ser
+from ..ser.analysis import SerAnalysis, analyze_ser
 from ..telemetry import REGISTRY, MetricsRegistry, Tracer
 from ..telemetry import spans as telemetry
 from .executor import Attempt, FailureRecord, run_ladder
@@ -496,21 +496,29 @@ def _optimize_resilient(circuit: Circuit,
         if init_stage.degraded:
             degradations.append("init=degenerate")
 
+        # The original circuit's ELWs, computed once and reused by every
+        # rung and algorithm that rebuilds a retiming (a failure still
+        # lands inside the ladder of the stage that first asked).
+        @functools.cache
+        def elws_of_original():
+            return circuit_elws(circuit, init.phi, setup, hold)
+
         # ---- original-circuit SER (reference for every outcome) ------
-        ser_stage = timed_ladder("ser-original", [
-            ("analyze", lambda ctx: analyze_ser(circuit, init.phi, setup,
-                                                hold, obs=obs))])
+        # With a cache active the analysis keeps its own "ser" entry
+        # (handed ELWs, it bypasses the cache); without one it reads the
+        # ELWs computed once above instead of computing them itself.
+        def ser_of_original(ctx: Attempt) -> SerAnalysis:
+            elws = None if cache_obj is not None else elws_of_original()
+            return analyze_ser(circuit, init.phi, setup, hold, obs=obs,
+                               elws=elws)
+
+        ser_stage = timed_ladder("ser-original",
+                                 [("analyze", ser_of_original)])
         ser_original = ser_stage.value
 
         problem = build_problem(graph, init, obs, config.n_patterns,
                                 setup, hold)
         original_registers = graph.register_count()
-        # The original circuit's ELWs, computed by the first rung that
-        # rebuilds a retiming and reused by every later rung and
-        # algorithm (a failure still lands inside that rung's ladder).
-        @functools.cache
-        def elws_of_original():
-            return circuit_elws(circuit, init.phi, setup, hold)
 
         def make_rung(solver: str, algorithm: str):
             def attempt(ctx: Attempt) -> AlgorithmRun:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from .._util import nogc
 from ..cache import cached, obs_digest, timing_digest
 from ..core.elw import circuit_elws
 from ..core.intervals import IntervalSet
@@ -72,8 +73,9 @@ def extend_obs_to_registers(circuit: Circuit,
     source (gate output or primary input).
     """
     full = dict(obs)
+    sources = circuit.register_sources()
     for name in circuit.dffs:
-        source, _ = circuit.comb_source(name)
+        source, _ = sources[name]
         if source not in obs:
             raise AnalysisError(
                 f"observability map lacks the driver {source!r} of "
@@ -99,6 +101,7 @@ def _decode_ser(payload: dict) -> SerAnalysis:
         phi=payload["phi"], setup=payload["setup"], hold=payload["hold"])
 
 
+@nogc
 def analyze_ser(circuit: Circuit, phi: float,
                 setup: float | None = None, hold: float | None = None,
                 obs: Mapping[str, float] | None = None,
@@ -125,6 +128,8 @@ def analyze_ser(circuit: Circuit, phi: float,
         :func:`repro.core.elw.incremental_circuit_elws` to reuse an
         original circuit's timing analysis on a retimed rebuild.  When
         omitted, :func:`~repro.core.elw.circuit_elws` is run here.
+        The suite also passes the original circuit's own ELWs when no
+        cache is active, so they are computed once per circuit.
 
     Cached under analysis kind ``"ser"`` when an analysis cache is
     active and ``elws`` is not supplied (precomputed ELWs have no
@@ -151,7 +156,7 @@ def analyze_ser(circuit: Circuit, phi: float,
         }
 
     with telemetry.span("ser.analyze", circuit=circuit.name,
-                        incremental=elws is not None):
+                        precomputed_elws=elws is not None):
         if elws is not None:
             return compute()
         return cached("ser", key, compute=compute,

@@ -70,6 +70,29 @@ class TestNoDigestWithoutCache:
         assert [run.status for run in result.runs] == ["ok"]
 
 
+class TestOriginalElwsOnce:
+    def test_cache_off_suite(self, monkeypatch):
+        # The original circuit's ELWs serve its own SER and every
+        # retimed rebuild's incremental pass: one timing analysis.
+        calls: list[str] = []
+        original = circuit_elws
+
+        def counting(circuit, *args, **kwargs):
+            calls.append(circuit.name)
+            return original(circuit, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "circuit_elws", None) is circuit_elws:
+                monkeypatch.setattr(module, "circuit_elws", counting)
+        assert active() is None
+        config = SuiteConfig(circuits=(NAME,), seed=0, n_frames=2,
+                             n_patterns=32)
+        result = run_suite(config, circuit_factory=lambda name:
+                           corpus_circuit("small", name))
+        assert [run.status for run in result.runs] == ["ok"]
+        assert calls == [NAME]
+
+
 class TestKeysArePinned:
     """Key hex per kind, in lookup order, as written by earlier releases."""
 

@@ -1,9 +1,11 @@
 """Unit tests for the Circuit data model."""
 
+import random
+
 import pytest
 
-from repro.errors import CombinationalCycleError, NetlistError
-from repro.netlist import Circuit, validate_circuit
+from repro.errors import CombinationalCycleError, NetlistError, ParseError
+from repro.netlist import Circuit, loads_bench, validate_circuit
 
 
 def build_tiny() -> Circuit:
@@ -111,6 +113,79 @@ class TestQueries:
         points = c.observation_points()
         assert ("po", "y") in points
         assert ("dff", "g2") in points
+
+
+def random_registered(seed: int) -> Circuit:
+    """Random gates plus flip-flops that may read other flip-flops.
+
+    Flip-flops get a hidden rank and read only lower-ranked ones, so the
+    register chains are acyclic but declared in any order.
+    """
+    rng = random.Random(seed)
+    c = Circuit(f"rand{seed}")
+    inputs = [c.add_input(f"i{k}") for k in range(3)]
+    dff_names = [f"q{k}" for k in range(rng.randint(1, 25))]
+    gate_names = [f"g{k}" for k in range(rng.randint(1, 15))]
+    for k, name in enumerate(gate_names):
+        pool = inputs + gate_names[:k] + dff_names
+        c.add_gate(name, "AND", [rng.choice(pool), rng.choice(pool)])
+    ranked = list(dff_names)
+    rng.shuffle(ranked)
+    for name in dff_names:
+        pool = inputs + gate_names + ranked[:ranked.index(name)]
+        c.add_dff(name, rng.choice(pool))
+    return c
+
+
+class TestRegisterSources:
+    """``register_sources`` against ``comb_source``, its per-net oracle."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_chains(self, length):
+        c = Circuit()
+        c.add_input("a")
+        c.add_gate("g", "BUF", ["a"])
+        c.add_dff("p0", "a")
+        # Declared sink-first: the first walk resolves the whole chain.
+        for k in reversed(range(length)):
+            c.add_dff(f"q{k}", f"q{k - 1}" if k else "g")
+        sources = c.register_sources()
+        assert sources == {name: c.comb_source(name) for name in c.dffs}
+        assert sources[f"q{length - 1}"] == ("g", length)
+        assert sources["p0"] == ("a", 1)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_circuits(self, seed):
+        c = random_registered(seed)
+        sources = c.register_sources()
+        assert sources == {name: c.comb_source(name) for name in c.dffs}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_register_only_cycle(self, seed):
+        c = random_registered(seed)
+        rng = random.Random(seed)
+        ring = [f"r{k}" for k in range(rng.randint(1, 3))]
+        for k, name in enumerate(ring):
+            c.add_dff(name, ring[k - 1])
+        c.dffs[next(iter(c.dffs))].d = ring[0]  # a chain into the ring
+        with pytest.raises(NetlistError) as exc:
+            c.register_sources()
+        for name in c.dffs:  # the first error comb_source would raise
+            try:
+                c.comb_source(name)
+            except NetlistError as want:
+                assert str(exc.value) == str(want)
+                break
+        else:
+            pytest.fail("comb_source found no register-only cycle")
+
+    def test_register_only_cycle_parse_error(self):
+        text = "INPUT(a)\nOUTPUT(g)\ng = BUF(a)\nq1 = DFF(q2)\nq2 = DFF(q1)\n"
+        with pytest.raises(ParseError) as exc:
+            loads_bench(text, path="ring.bench")
+        assert exc.value.path == "ring.bench"
+        assert "register-only cycle" in str(exc.value)
+        assert str(exc.value).startswith("ring.bench:")
 
 
 class TestCopy:
