@@ -32,8 +32,9 @@ immediately" on such circuits (Sec. VI discussion of b18/b14 rows).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,7 +83,6 @@ class Problem:
         return int(-(self.b.astype(np.int64) * r).sum())
 
 
-@dataclass
 class Violation:
     """A diagnosed constraint violation -> active constraint ``(p, q)``.
 
@@ -104,21 +104,53 @@ class Violation:
     vertex:
         Violating vertex (P1's path head / P2's register-fanout gate).
     note:
-        Human-readable description for logs and tests.
+        Human-readable description for logs and tests.  The checker
+        passes a zero-argument callable, rendered on first read: walks
+        diagnose thousands of violations and read almost no note.
+
+    Two violations are equal when every attribute, the rendered note
+    included, is.
     """
 
-    kind: str
-    p: int
-    q: int
-    deficit: int
-    edge: int | None = None
-    vertex: int | None = None
-    note: str = ""
+    __slots__ = ("kind", "p", "q", "deficit", "edge", "vertex", "_note")
+
+    def __init__(self, kind: str, p: int, q: int, deficit: int,
+                 edge: int | None = None, vertex: int | None = None,
+                 note: str | Callable[[], str] = ""):
+        self.kind = kind
+        self.p = p
+        self.q = q
+        self.deficit = deficit
+        self.edge = edge
+        self.vertex = vertex
+        self._note = note
+
+    @property
+    def note(self) -> str:
+        note = self._note
+        if not isinstance(note, str):
+            note = self._note = note()
+        return note
 
     @property
     def fixable(self) -> bool:
         """False when fixing would push registers into the host."""
         return self.q != 0
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.p, self.q, self.deficit, self.edge,
+                self.vertex, self.note)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return ("Violation(kind={!r}, p={!r}, q={!r}, deficit={!r}, "
+                "edge={!r}, vertex={!r}, note={!r})".format(*self._fields()))
 
 
 def gains(graph: RetimingGraph, obs_counts: Mapping[str, int]) -> np.ndarray:
@@ -160,6 +192,15 @@ def _first_mover(delta: np.ndarray | None,
     return -1
 
 
+def checker(problem: Problem, skip_p2: bool = False) -> IncrementalLabels:
+    """The incremental checker one walk or solve owns: pass it as
+    :func:`find_violations`' ``labels`` at every step.  It keeps the
+    boundary labels and, unless ``skip_p2``, P2's short-path set."""
+    bound = -math.inf if skip_p2 else problem.rmin - problem.eps
+    return IncrementalLabels(problem.graph, problem.phi, problem.setup,
+                             problem.hold, problem.hold_at_outputs, bound)
+
+
 def check_constraints(problem: Problem, r: Sequence[int] | np.ndarray,
                       delta: np.ndarray | None = None,
                       skip_p2: bool = False,
@@ -177,8 +218,8 @@ def check_constraints(problem: Problem, r: Sequence[int] | np.ndarray,
         Per-vertex tentative decrease (0 for non-movers); used only to
         identify the mover ``p`` of the diagnosed active constraint.
     labels:
-        A label maintainer to bring up to date with ``r`` instead of a
-        full timing pass (see :func:`find_violations`).
+        The caller's :func:`checker`, brought up to date with ``r``
+        instead of a full timing pass (see :func:`find_violations`).
 
     Returns None when ``r`` satisfies all constraints.
     """
@@ -200,9 +241,11 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
     constraints per timing pass instead of one.
 
     ``limit`` caps the number of diagnoses (1 recovers the classic
-    one-at-a-time behaviour of Algorithm 1).  A label maintainer
-    built for ``problem``'s clock parameters (``labels``) stands in for
-    the full label pass; it sees ``w_r`` only when ``r`` passes P0.
+    one-at-a-time behaviour of Algorithm 1).  ``labels``, the
+    :func:`checker` of ``problem``, stands in for the full label pass
+    and the full scan for short register paths; it sees ``w_r`` only
+    when ``r`` passes P0.  Without it one full pass runs: the oracle the
+    checker is tested against.
     """
     graph = problem.graph
     weights = graph.retimed_weights(r)
@@ -210,27 +253,37 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
     # ---- P0: valid retiming (vectorized scan) ------------------------
     negative = np.nonzero(weights < 0)[0]
     if negative.size:
+        negative = negative[:limit]
+        edges = graph.edges
+        names = graph.names
         out: list[Violation] = []
-        for eidx in negative[:limit]:
-            e = graph.edges[int(eidx)]
-            deficit = int(-weights[eidx])
-            out.append(Violation(
-                kind="P0", p=e.v, q=e.u, deficit=deficit, edge=int(eidx),
-                note=(f"edge {graph.names[e.u]} -> {graph.names[e.v]} "
-                      f"has {int(weights[eidx])} registers; "
-                      f"{graph.names[e.u]} must move {deficit} more")))
+        for eidx, deficit in zip(negative.tolist(),
+                                 (-weights[negative]).tolist()):
+            e = edges[eidx]
+            out.append(Violation("P0", e.v, e.u, deficit, eidx, None,
+                                 partial(_p0_note, names, e.u, e.v,
+                                         deficit)))
         return out
 
     if labels is None:
-        L, R, _, _, lsucc, rsucc = label_lists(
+        L, R, _, rt, lsucc, rsucc = label_lists(
             graph, weights, problem.phi, problem.setup, problem.hold,
             problem.hold_at_outputs)
     else:
-        L, R, _, _, lsucc, rsucc = labels.update(weights)
+        L, R, _, rt, lsucc, rsucc = labels.update(weights)
 
     # ---- P2': shortest register-to-register paths --------------------
     if not skip_p2:
-        found = _check_p2(problem, weights, R, rsucc, delta, limit)
+        if labels is None:
+            short: Iterable[tuple[int, int, int, float]] = \
+                short_register_paths(graph, weights, R, problem.phi,
+                                     problem.hold,
+                                     problem.rmin - problem.eps)
+        elif labels.bound != problem.rmin - problem.eps:
+            raise ValueError("labels were not built by checker(problem)")
+        else:
+            short = labels.short_paths()
+        found = _check_p2(problem, weights, short, rt, rsucc, delta, limit)
         if found:
             return found
 
@@ -239,55 +292,65 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
     return [violation] if violation is not None else []
 
 
-def _check_p2(problem: Problem, weights: np.ndarray, R: list[float],
+def _p0_note(names: list[str], u: int, v: int, deficit: int) -> str:
+    return (f"edge {names[u]} -> {names[v]} has {-deficit} registers; "
+            f"{names[u]} must move {deficit} more")
+
+
+def _p2_note(problem: Problem, v: int, length: float, z: int, y: int,
+             deficit: int) -> str:
+    names = problem.graph.names
+    head = (f"short path {length:.3f} < R_min {problem.rmin:.3f} "
+            f"from {names[v]}")
+    if y == 0:
+        return f"{head} ends at a primary output"
+    return f"{head}; clear {deficit} registers off {names[z]} -> {names[y]}"
+
+
+def _p1_note(names: list[str], worst: int, z: int, slack: float) -> str:
+    return (f"longest path from {names[worst]} to {names[z]} violates "
+            f"setup by {-slack:.3f}; move a register out of {names[worst]}")
+
+
+def _check_p2(problem: Problem, weights: np.ndarray,
+              short: Iterable[tuple[int, int, int, float]], rt: list[int],
               rsucc: list[int], delta: np.ndarray | None,
               limit: int | None) -> list[Violation]:
     graph = problem.graph
     out_edges = graph.out_edges
-    names = graph.names
+    edges = graph.edges
     w_list: list[int] | None = None
+    # Terminal z -> (y, deficit): the first registered out-edge (z, y)
+    # and its register count; (0, 0), unfixable, when that edge feeds a
+    # primary output or z has none: registers cannot be pushed into the
+    # host (paper Sec. VI, b14/b18 cases).
+    terminals: dict[int, tuple[int, int]] = {}
 
     out: list[Violation] = []
     seen_targets: set[tuple[int, int]] = set()
-    for eidx, u, v, sp_v in short_register_paths(
-            graph, weights, R, problem.phi, problem.hold,
-            problem.rmin - problem.eps):
-        if w_list is None:
-            w_list = weights.tolist()
-        # Critical shortest path v -> ... -> z; its terminal register
-        # sits on some registered out-edge (z, y).
-        path = critical_path(rsucc, v)
-        z = path[-1]
-        y_edge = next((i for i in out_edges[z] if w_list[i] > 0), None)
-        mover = _first_mover(delta, [u, z, *path])
-        if y_edge is None or graph.edges[y_edge].v == 0:
-            # Terminal is a primary output (or a register guarding one):
-            # registers cannot be pushed into the host -- unfixable
-            # (paper Sec. VI, b14/b18 cases).
-            key = (mover, 0)
-            if key in seen_targets:
-                continue
-            seen_targets.add(key)
-            out.append(Violation(
-                kind="P2", p=mover, q=0, deficit=0, edge=eidx,
-                vertex=v,
-                note=(f"short path {sp_v:.3f} < R_min "
-                      f"{problem.rmin:.3f} from {names[v]} ends "
-                      f"at a primary output")))
-        else:
-            y = graph.edges[y_edge].v
-            deficit = w_list[y_edge]
-            key = (mover, y)
-            if key in seen_targets:
-                continue
-            seen_targets.add(key)
-            out.append(Violation(
-                kind="P2", p=mover, q=y, deficit=deficit, edge=eidx,
-                vertex=v,
-                note=(f"short path {sp_v:.3f} < R_min "
-                      f"{problem.rmin:.3f} from {names[v]}; clear "
-                      f"{deficit} registers off {names[z]} -> "
-                      f"{names[y]}")))
+    for eidx, u, v, length in short:
+        # The critical shortest path v -> ... -> z ends at z = rt(v).
+        z = rt[v]
+        target = terminals.get(z)
+        if target is None:
+            if w_list is None:
+                w_list = weights.tolist()
+            target = (0, 0)
+            for i in out_edges[z]:
+                if w_list[i] > 0:
+                    if edges[i].v:
+                        target = (edges[i].v, w_list[i])
+                    break
+            terminals[z] = target
+        y, deficit = target
+        mover = -1 if delta is None else \
+            _first_mover(delta, [u, z, *critical_path(rsucc, v)])
+        key = (mover, y)
+        if key in seen_targets:
+            continue
+        seen_targets.add(key)
+        out.append(Violation("P2", mover, y, deficit, eidx, v, partial(
+            _p2_note, problem, v, length, z, y, deficit)))
         if limit is not None and len(out) >= limit:
             break
     return out
@@ -321,6 +384,4 @@ def _check_p1(problem: Problem, L: list[float], lsucc: list[int],
     mover = _first_mover(delta, [z, *reversed(path[1:])])
     return Violation(
         kind="P1", p=mover, q=worst, deficit=1, vertex=worst,
-        note=(f"longest path from {graph.names[worst]} to "
-              f"{graph.names[z]} violates setup by {-worst_slack:.3f}; "
-              f"move a register out of {graph.names[worst]}"))
+        note=partial(_p1_note, graph.names, worst, z, worst_slack))

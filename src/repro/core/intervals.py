@@ -101,8 +101,19 @@ class IntervalSet:
 
     @property
     def measure(self) -> float:
-        """Total length ``sum(R_i - L_i)`` -- the paper's ``|ELW|``."""
-        return sum(r - l for l, r in self._intervals)
+        """Total length ``sum(R_i - L_i)`` -- the paper's ``|ELW|``.
+
+        Summed left to right; the one- and two-interval sets every ELW
+        kernel call builds skip the generator.
+        """
+        intervals = self._intervals
+        if len(intervals) == 1:
+            (left, right), = intervals
+            return right - left
+        if len(intervals) == 2:
+            (l1, r1), (l2, r2) = intervals
+            return (r1 - l1) + (r2 - l2)
+        return sum(r - l for l, r in intervals)
 
     @property
     def span(self) -> float:

@@ -37,8 +37,16 @@ import numpy as np
 from ..errors import DeadlineExceeded, InfeasibleError, RetimingError
 from ..faultplane.hooks import fault_point, filter_labels
 from ..telemetry import REGISTRY, spans as telemetry
-from .constraints import Problem, Violation, check_constraints, find_violations
+from .constraints import (Problem, Violation, check_constraints, checker,
+                          find_violations)
 from .regular_forest import RegularForest
+
+
+#: Why a tree was pinned to the host instead of getting a constraint:
+#: an unfixable violation, no identified mover, a diagnosis repeated
+#: more than three times in a pass, or a constraint the forest already
+#: implies.
+PIN_CAUSES = ("unfixable", "no_mover", "repeat", "implied")
 
 
 @dataclass
@@ -62,12 +70,15 @@ class RetimingResult:
     constraints_added:
         Active constraints recorded across all passes.
     blocked:
-        Trees pinned to the host due to unfixable violations.
+        Trees pinned to the host instead of getting a constraint, for
+        any of the :data:`PIN_CAUSES` (the traced ``solve`` span counts
+        each cause).
     runtime:
         Wall-clock seconds.
     trace:
         Optional per-event log (``keep_trace=True``): ``("commit", gain)``
-        and ``("constraint", kind, p, q, weight)`` tuples.
+        and ``("constraint", kind, p, q, deficit, outcome)`` tuples,
+        ``outcome`` being ``"constraint"`` or the pin cause.
     """
 
     r: np.ndarray
@@ -130,7 +141,11 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
         fault_point("solve.minobswin", stage=stage)
     r = np.asarray(r0, dtype=np.int64).copy()
     graph.validate_retiming(r)
-    first_violation = check_constraints(problem, r, skip_p2=skip_p2)
+    # One checker for the whole solve: each diagnosis pays only for the
+    # weights that changed since the last valid tentative retiming.
+    labels = checker(problem, skip_p2)
+    first_violation = check_constraints(problem, r, skip_p2=skip_p2,
+                                        labels=labels)
     if first_violation is not None:
         raise InfeasibleError(
             f"initial retiming violates {first_violation.kind}: "
@@ -142,6 +157,8 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
     forest = RegularForest(problem.b, pinned=0)
     trace: list[tuple] = []
     iterations = commits = passes = constraints_added = blocked = 0
+    # Pinned trees by cause (see _apply_violation); they sum to blocked.
+    pins = dict.fromkeys(PIN_CAUSES, 0)
 
     # Solver introspection: one "solve" span around the whole run and a
     # per-iteration span at each of the main loop's exits (exhausted /
@@ -207,7 +224,7 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
                 move = delta * multiplier
                 tentative = r - move
                 violations = find_violations(problem, tentative, move,
-                                             skip_p2=skip_p2)
+                                             skip_p2=skip_p2, labels=labels)
                 t_diagnosed = tracer.now() if tracer is not None else 0.0
                 if not violations:
                     r = tentative
@@ -242,6 +259,7 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
                     if outcome == "constraint":
                         constraints_added += 1
                     else:
+                        pins[outcome] += 1
                         blocked += 1
                     if keep_trace:
                         trace.append(
@@ -259,7 +277,9 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
         if tracer is not None:
             tracer.add_attrs(iterations=iterations, commits=commits,
                              passes=passes, objective=int(objective),
-                             forest_evals=forest.evaluations)
+                             forest_evals=forest.evaluations,
+                             **{f"pins_{cause}": count
+                                for cause, count in pins.items()})
     REGISTRY.counter(
         "solver.iterations",
         help="MinObs/MinObsWin main-loop iterations").inc(iterations)
@@ -277,27 +297,29 @@ def _apply_violation(forest: RegularForest, violation: Violation,
     """Update the forest for one diagnosed violation.
 
     Returns ``"constraint"`` when an active constraint was recorded, or
-    ``"pinned"`` when the move had to be withdrawn (unfixable violation,
-    unidentified mover, an already-implied constraint, or a diagnosis
-    that keeps repeating -- the pin guarantees forward progress in all
-    fallback cases).
+    the :data:`PIN_CAUSES` entry of a move that had to be withdrawn (the
+    pin guarantees forward progress in all of them).
 
     Weights are monotone within a pass (``max`` of the stored and newly
     required amounts): BreakTree severs constraints, so oscillating
     weights could otherwise replay the same diagnosis forever.
     """
-    if not violation.fixable or violation.p < 0 or repeat > 3:
-        _pin_movers(forest, violation, delta)
-        return "pinned"
-
-    required = int(delta[violation.q]) + violation.deficit
-    required = max(required, forest.weight[violation.q])
-    if forest.add_constraint(violation.p, violation.q, required):
-        return "constraint"
-    # The constraint was already implied yet the violation persists --
-    # should not happen; withdraw the move to guarantee progress.
+    if not violation.fixable:
+        cause = "unfixable"
+    elif violation.p < 0:
+        cause = "no_mover"
+    elif repeat > 3:
+        cause = "repeat"
+    else:
+        required = int(delta[violation.q]) + violation.deficit
+        required = max(required, forest.weight[violation.q])
+        if forest.add_constraint(violation.p, violation.q, required):
+            return "constraint"
+        # The constraint was already implied yet the violation persists;
+        # withdraw the move to guarantee progress.
+        cause = "implied"
     _pin_movers(forest, violation, delta)
-    return "pinned"
+    return cause
 
 
 def _pin_movers(forest: RegularForest, violation: Violation,

@@ -60,6 +60,21 @@ class CombinationalCycleError(NetlistError):
         )
 
 
+class RegisterCycleError(NetlistError):
+    """Flip-flops form a cycle with no gate in between.
+
+    Attributes
+    ----------
+    register:
+        The flip-flop at which the cycle was found.
+    """
+
+    def __init__(self, register: str):
+        self.register = register
+        super().__init__(
+            f"register-only cycle through {register!r}; insert a BUF gate")
+
+
 class LibraryError(ReproError):
     """A cell type is unknown or used with an unsupported arity."""
 

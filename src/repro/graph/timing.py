@@ -21,6 +21,7 @@ and the Lin-Zhou hold check.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterator, Sequence
 
@@ -108,7 +109,16 @@ def label_lists(graph: RetimingGraph, weights: np.ndarray, phi: float,
     One O(|V| + |E|) pass in reverse topological order over the
     zero-weight subgraph.
     """
-    order = graph.zero_weight_order(weights)
+    return _labels_along(graph, weights, graph.zero_weight_order(weights),
+                         phi, setup, hold, hold_at_outputs)
+
+
+def _labels_along(graph: RetimingGraph, weights: np.ndarray,
+                  order: list[int], phi: float, setup: float, hold: float,
+                  hold_at_outputs: bool,
+                  ) -> tuple[list[float], list[float], list[int], list[int],
+                             list[int], list[int]]:
+    """:func:`label_lists` given the zero-weight topological ``order``."""
     # Per edge: -1 when registered, else its sink (0 = primary output).
     fanout = np.where(weights > 0, -1, graph.edge_arrays()[1]).tolist()
     out_edges = graph.out_edges
@@ -151,78 +161,161 @@ def label_lists(graph: RetimingGraph, weights: np.ndarray, phi: float,
 
 
 class IncrementalLabels:
-    """The :func:`label_lists` lists kept current across edits of ``w_r``.
+    """The :func:`label_lists` lists kept current across edits of ``w_r``,
+    with the registered edges whose path is shorter than ``bound``.
 
-    A walk that changes a few registers per step owns one instance and
-    calls :meth:`update` with each new valid weight vector.  The first
-    update is one full :func:`label_lists` pass.  Later updates diff the
-    weights against the previous update's and recompute only the tails
-    of the changed edges, with :func:`label_lists`' own rule per vertex
-    (same edge order, same strict comparisons, same terminal and
-    successor updates).  A vertex whose ``L``/``R``/``lt``/``rt`` moved
-    queues its zero-weight fan-in in turn.
+    A walk or solve owns one instance and calls :meth:`update` with each
+    new valid weight vector.  The first update is one full
+    :func:`label_lists` pass.  Later updates diff the weights against the
+    previous update's and recompute only the tails of the changed edges,
+    with :func:`label_lists`' own rule per vertex (same edge order, same
+    strict comparisons, same terminal and successor updates).  A vertex
+    whose ``L``/``R``/``lt``/``rt`` moved queues its zero-weight fan-in
+    in turn, fanout first by rank in the last full pass's topological
+    order.  An update that would recompute more vertices than the graph
+    has runs a full pass instead, so no update costs more than about two.
+
+    :meth:`short_paths` is :func:`short_register_paths` at ``bound``:
+    an edge's path length depends only on its own weight and its head's
+    ``R``, so an update re-evaluates the changed edges and the registered
+    in-edges of the vertices whose ``R`` moved.  The default bound keeps
+    no edge (for callers that never check P2').
 
     Exact: the labels are the unique solution of the per-vertex rule
     over the zero-weight subgraph, a DAG under every valid retiming, so
     the recompute order cannot change the result.  Only valid weights
     (``w_r >= 0``) may be passed; skipping invalid states is fine, as the
     next update diffs against the last one it saw.  The lists are owned
-    by the instance and change in place on the next update.
+    by the instance and are valid until the next update.
     """
 
     def __init__(self, graph: RetimingGraph, phi: float, setup: float,
-                 hold: float, hold_at_outputs: bool):
+                 hold: float, hold_at_outputs: bool,
+                 bound: float = -math.inf):
         self.graph = graph
         self.phi = phi
         self.setup = setup
         self.hold = hold
         self.hold_at_outputs = hold_at_outputs
+        self.bound = bound
         self._tails = graph.edge_arrays()[0].tolist()
         self._weights: np.ndarray | None = None
         self._fanout: list[int] = []
+        # Recompute priority: a vertex's position in a zero-weight
+        # topological order, lowered on the fly where a retiming made
+        # a fan-in rank at or above its fanout.
+        self._rank: list[int] = []
         self._lists: tuple[list[float], list[float], list[int], list[int],
                            list[int], list[int]] | None = None
+        # Edge index -> (eidx, u, v, length) of every short registered
+        # edge (u, v).
+        self._short: dict[int, tuple[int, int, int, float]] = {}
 
     def update(self, weights: np.ndarray,
                ) -> tuple[list[float], list[float], list[int], list[int],
                           list[int], list[int]]:
         """``label_lists(graph, weights, ...)``, paying only for what
         changed since the previous update."""
-        graph = self.graph
         previous, self._weights = self._weights, weights
-        if previous is None:
-            self._lists = label_lists(graph, weights, self.phi, self.setup,
-                                      self.hold, self.hold_at_outputs)
-            self._fanout = np.where(weights > 0, -1,
-                                    graph.edge_arrays()[1]).tolist()
-            return self._lists
-        changed = np.flatnonzero(weights != previous)
-        if changed.size:
-            tails, heads, _ = graph.edge_arrays()
+        if previous is not None:
+            changed = np.flatnonzero(weights != previous)
+            if not changed.size:
+                return self._lists
+            edges = changed.tolist()
             fanout = self._fanout
-            for eidx, w, v in zip(changed.tolist(),
-                                  weights[changed].tolist(),
+            heads = self.graph.edge_arrays()[1]
+            for eidx, w, v in zip(edges, weights[changed].tolist(),
                                   heads[changed].tolist()):
                 fanout[eidx] = -1 if w > 0 else v
-            self._relabel(set(tails[changed].tolist()) - {0})
+            tails = self._tails
+            moved = self._relabel({tails[eidx] for eidx in edges} - {0})
+            if moved is not None:
+                if self.bound > -math.inf:
+                    self._reshort(edges, moved)
+                return self._lists
+        self._full_pass(weights)
         return self._lists
 
-    def _relabel(self, pending: set[int]) -> None:
-        """Recompute ``pending`` vertices until no label moves."""
+    def _full_pass(self, weights: np.ndarray) -> None:
+        """Everything from scratch: the labels, a fresh rank, the fanout
+        and the short-path set."""
+        graph = self.graph
+        order = graph.zero_weight_order(weights)
+        self._lists = _labels_along(graph, weights, order, self.phi,
+                                    self.setup, self.hold,
+                                    self.hold_at_outputs)
+        rank = self._rank = [0] * graph.n_vertices
+        for position, v in enumerate(order):
+            rank[v] = position
+        self._fanout = np.where(weights > 0, -1,
+                                graph.edge_arrays()[1]).tolist()
+        self._short = {path[0]: path for path in short_register_paths(
+            graph, weights, self._lists[1], self.phi, self.hold,
+            self.bound)}
+
+    def short_paths(self) -> list[tuple[int, int, int, float]]:
+        """``short_register_paths`` at the last update's weights and
+        this instance's bound: ``(eidx, u, v, length)`` in edge order."""
+        short = self._short
+        return [short[eidx] for eidx in sorted(short)]
+
+    def _reshort(self, edges: list[int], moved: list[int]) -> None:
+        """Re-evaluate the short-path test of ``edges`` and of the
+        registered in-edges of the ``moved`` vertices."""
+        fanout = self._fanout
+        graph_edges = self.graph.edges
+        in_edges = self.graph.in_edges
+        delays = self.graph.delays
+        R = self._lists[1]
+        short = self._short
+        window = self.phi + self.hold
+        bound = self.bound
+        candidates = set(edges)
+        for v in moved:
+            candidates.update(in_edges[v])
+        for eidx in candidates:
+            if fanout[eidx] < 0:
+                edge = graph_edges[eidx]
+                v = edge.v
+                if v != 0 and math.isfinite(R[v]):
+                    length = delays[v] + (window - R[v])
+                    if length < bound:
+                        short[eidx] = (eidx, edge.u, v, length)
+                        continue
+            short.pop(eidx, None)
+
+    def _relabel(self, pending: set[int]) -> list[int] | None:
+        """Recompute ``pending`` vertices until no label moves; the
+        vertices whose ``R`` moved, or None once the recomputes outnumber
+        the vertices (the caller then runs a full pass, which also
+        refreshes the rank).
+
+        Vertices are recomputed fanout first (highest rank first), so a
+        vertex is normally recomputed once, after every fanout whose
+        label moved.  A stale rank can still recompute a vertex several
+        times; the cutoff bounds an update at about two full passes.
+        """
         graph = self.graph
         out_edges = graph.out_edges
         in_edges = graph.in_edges
         delays = graph.delays
         tails = self._tails
         fanout = self._fanout
+        rank = self._rank
         isfinite = math.isfinite
         hold_at_outputs = self.hold_at_outputs
         window_left = self.phi - self.setup
         window_right = self.phi + self.hold
         L, R, lt, rt, lsucc, rsucc = self._lists
-        queue = list(pending)
-        while queue:
-            u = queue.pop()
+        moved: list[int] = []
+        heap = [(-rank[u], u) for u in pending]
+        heapq.heapify(heap)
+        budget = graph.n_vertices
+        while heap:
+            budget -= 1
+            if budget < 0:
+                return None
+            u = heapq.heappop(heap)[1]
             pending.discard(u)
             Lu, Ru, ltu, rtu, lsu, rsu = math.inf, -math.inf, -1, -1, -1, -1
             for eidx in out_edges[u]:
@@ -243,13 +336,18 @@ class IncrementalLabels:
             rsucc[u] = rsu
             if Lu == L[u] and Ru == R[u] and ltu == lt[u] and rtu == rt[u]:
                 continue
+            if Ru != R[u]:
+                moved.append(u)
             L[u], R[u], lt[u], rt[u] = Lu, Ru, ltu, rtu
             for eidx in in_edges[u]:
                 if fanout[eidx] == u:  # register-free edge into u
                     p = tails[eidx]
                     if p and p not in pending:
+                        if rank[p] >= rank[u]:
+                            rank[p] = rank[u] - 1
                         pending.add(p)
-                        queue.append(p)
+                        heapq.heappush(heap, (-rank[p], p))
+        return moved
 
 
 def short_register_paths(graph: RetimingGraph, weights: np.ndarray,

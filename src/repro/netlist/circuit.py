@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .._util import check_name, topological_order
-from ..errors import NetlistError
+from ..errors import NetlistError, RegisterCycleError
 from .cell_library import GENERIC_LIBRARY, CellLibrary, check_arity
 
 
@@ -234,15 +234,13 @@ class Circuit:
         Returns ``(source_net, n_registers)`` where ``source_net`` is driven
         by a gate or primary input and ``n_registers`` is the number of
         flip-flops traversed.  A pure register self-loop (a flip-flop chain
-        forming a cycle with no gate) raises :class:`NetlistError`.
+        forming a cycle with no gate) raises :class:`RegisterCycleError`.
         """
         count = 0
         seen: set[str] = set()
         while net in self.dffs:
             if net in seen:
-                raise NetlistError(
-                    f"register-only cycle through {net!r}; insert a BUF gate"
-                )
+                raise RegisterCycleError(net)
             seen.add(net)
             net = self.dffs[net].d
             count += 1
@@ -253,7 +251,7 @@ class Circuit:
 
         Walks each register chain once: a walk stops at the first
         register already resolved and shares its answer.  Raises the
-        :class:`NetlistError` that calling :meth:`comb_source` on the
+        :class:`RegisterCycleError` that calling :meth:`comb_source` on the
         flip-flops in declaration order would raise first.  The result
         is built per call, never kept on the circuit.
         """
@@ -272,8 +270,7 @@ class Circuit:
             if net in sources:
                 known = sources[net]
                 if known is None:
-                    raise NetlistError(f"register-only cycle through "
-                                       f"{net!r}; insert a BUF gate")
+                    raise RegisterCycleError(net)
                 source, count = known
             else:
                 source, count = net, 0

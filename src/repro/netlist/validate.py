@@ -55,7 +55,8 @@ def validate_parsed(circuit: Circuit, decl_lines: dict[str, int],
     parsed :class:`~repro.netlist.circuit.Gate` checked it on
     construction.
     """
-    from ..errors import CombinationalCycleError, ParseError
+    from ..errors import (CombinationalCycleError, ParseError,
+                          RegisterCycleError)
 
     _check_references(
         circuit, lambda message, line: ParseError(message, path, line),
@@ -66,8 +67,9 @@ def validate_parsed(circuit: Circuit, decl_lines: dict[str, int],
         lineno = min((decl_lines[g] for g in exc.cycle
                       if g in decl_lines), default=None)
         raise ParseError(str(exc), path, lineno) from exc
-    except NetlistError as exc:
-        raise ParseError(str(exc), path, None) from exc
+    except RegisterCycleError as exc:
+        raise ParseError(str(exc), path,
+                         decl_lines.get(exc.register)) from exc
 
 
 def _check_references(circuit: Circuit,

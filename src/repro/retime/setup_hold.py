@@ -25,9 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InfeasibleError
-from ..core.constraints import Problem, find_violations
+from ..core.constraints import Problem, checker, find_violations
 from ..graph.retiming_graph import RetimingGraph
-from ..graph.timing import IncrementalLabels, min_register_path
+from ..graph.timing import min_register_path
 from ..telemetry import spans as telemetry
 from .minperiod import feasible_retiming, min_period_retiming
 
@@ -75,8 +75,7 @@ def repair_constraints(problem: Problem, r: np.ndarray,
     r = np.asarray(r, dtype=np.int64).copy()
     if max_steps is None:
         max_steps = 40 * graph.n_vertices + 200
-    labels = IncrementalLabels(graph, problem.phi, problem.setup,
-                               problem.hold, problem.hold_at_outputs)
+    labels = checker(problem)
     cycle = _Brent() if rng is None else None
     checkpoint: np.ndarray | None = None
     checkpoint_edge: int | None = None
@@ -287,8 +286,9 @@ def best_effort_hold(graph, phi: float, setup: float, hold: float,
     best_sp = min_register_path(graph, r, phi, setup, hold)
     if max_steps is None:
         max_steps = 10 * graph.n_vertices + 100
+    labels = checker(problem)
     for _ in range(max_steps):
-        violations = find_violations(problem, r)
+        violations = find_violations(problem, r, labels=labels)
         if not violations:
             return r  # fully hold-feasible (caller re-checks anyway)
         kinds = {v.kind for v in violations}

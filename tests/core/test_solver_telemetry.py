@@ -8,7 +8,8 @@ accounting: span count == ``result.iterations``, the per-iteration
 only feasible gain-commits ever change it), and the committed-gain
 reconstruction from ``keep_trace`` lands on the same final objective.
 Each iteration's phase times (select / diagnose / update) fit inside its
-span, and the ``solve`` span counts the forest DP's vertex evaluations.
+span, and the ``solve`` span counts the forest DP's vertex evaluations
+and the pinned trees by cause.
 """
 
 import json
@@ -118,6 +119,14 @@ class TestSolverIterationSpans:
         # evaluates every vertex.
         assert solve["attrs"]["forest_evals"] >= \
             result.passes * problem.graph.n_vertices > 0
+        # Pinned trees are counted by cause, and the causes sum to the
+        # result's blocked count.
+        pins = {key: value for key, value in solve["attrs"].items()
+                if key.startswith("pins_")}
+        assert set(pins) == {"pins_unfixable", "pins_no_mover",
+                             "pins_repeat", "pins_implied"}
+        assert all(isinstance(n, int) and n >= 0 for n in pins.values())
+        assert sum(pins.values()) == result.blocked > 0
         # Every iteration span is parented under the solve span.
         for record in records:
             if record["type"] == "span" and \

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.constraints as constraints
+import repro.retime.setup_hold as setup_hold
 from repro import telemetry
 from repro.core.constraints import Problem, find_violations
 from repro.core.initialization import initialize
@@ -172,14 +172,16 @@ def pipe_b():
 
 
 def count_checks(monkeypatch):
+    """Counts the walk's checks: ``find_violations`` as the walk's own
+    module resolves it."""
     calls = [0]
-    inner = constraints.find_violations
+    inner = setup_hold.find_violations
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(constraints, "find_violations", counted)
+    monkeypatch.setattr(setup_hold, "find_violations", counted)
     return calls
 
 
@@ -239,7 +241,7 @@ class TestRepairWalk:
         calls = count_checks(monkeypatch)
         assert repair_constraints(problem, seed, max_steps=budget,
                                   allow_backward=True) is None
-        assert calls[0] <= 4 * (mu + lam) < budget
+        assert 0 < calls[0] <= 4 * (mu + lam) < budget
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 200),
