@@ -2,10 +2,11 @@
 
 The paper argues its regular-forest MinObs is the same optimization the
 LP of [17] solves, just faster and smaller.  This benchmark runs both on
-the same instances -- the incremental engine (from the pointwise-maximal
-start, where decrease-only descent is provably globally optimal on the
-no-P2' relaxation) and the W/D-matrix LP -- asserts the objectives agree
-exactly, and compares runtimes.
+the same random instances -- the incremental engine (from the
+pointwise-maximal start, where an exact decrease-only descent is globally
+optimal on the no-P2' relaxation; the solver's pins can stop it short on
+some corpus circuits, docs/algorithm.md Sec. 5) and the W/D-matrix LP --
+asserts the objectives agree exactly, and compares runtimes.
 """
 
 import numpy as np

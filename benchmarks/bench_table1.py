@@ -1,99 +1,68 @@
 """Table I reproduction: the paper's main experiment.
 
-One benchmark per Table I row (21 ISCAS89/ITC99-mimicking synthetic
-circuits; see DESIGN.md for the substitution): runs the full Sec. VI flow
--- observability simulation, Sec. V initialization, Efficient MinObs and
-MinObsWin, netlist rebuild, eq. (4) SER analysis -- and collects the
-paper's columns.  The final summary test prints the full table plus the
-averages the paper reports and asserts the qualitative shape:
+One suite run over the Table I rows (21 ISCAS89/ITC99-mimicking
+synthetic circuits; see DESIGN.md for the substitution), through the
+same ``run_suite`` flow as ``repro-ser table1``: observability
+simulation, Sec. V initialization, Efficient MinObs and MinObsWin,
+netlist rebuild, the post-retime guard (which checks the clock period)
+and eq. (4) SER analysis.  The test prints the full table and the AVG
+line of :func:`repro.reporting.summarize`, writes both to
+``table1_report.txt``, and asserts the qualitative shape:
 
+* every row finishes ``ok`` (no failure, no degraded solver);
 * both algorithms reduce SER on average (paper: -26.7% / -32.7%);
-* both reduce register count on average (paper: -43% / -38%);
+* MinObsWin reduces register count on average (paper: -38%);
 * MinObsWin never does catastrophically worse than MinObs (the paper's
-  worst ratio is 67%);
-* every retimed circuit meets its clock-period constraint.
+  worst ratio is 67%) and wins or ties somewhere.
 
 Knobs: REPRO_BENCH_SCALE, REPRO_BENCH_FRAMES, REPRO_BENCH_PATTERNS,
 REPRO_BENCH_ROWS (see conftest).
 """
 
-import numpy as np
+import pathlib
+
 import pytest
 
-from repro.circuits.suites import table1_circuit
-from repro.pipeline import optimize_circuit, table1_row
+from repro.reporting import format_averages, summarize
+from repro.runtime.suite import SuiteConfig, run_suite
 from repro.ser.report import format_comparison
-from repro._util import percent
 
 from .conftest import bench_frames, bench_patterns, bench_rows, \
     bench_scale, once
 
-_RESULTS: dict[str, dict] = {}
+#: The paper's Sec. VI averages, printed under ours for comparison.
+PAPER = ("PAPER  dSER_ref -26.7%  dSER_new -32.7%  SER_ref/SER_new 115%  "
+         "dFF_ref -43.0%  dFF_new -38.0%  t_new/t_ref 2.5x "
+         "(immediate-exit rows excluded)")
 
 
-@pytest.mark.parametrize("row_name", bench_rows())
-def test_table1_row(benchmark, row_name):
-    circuit = table1_circuit(row_name, scale=bench_scale())
+def test_table1(benchmark):
+    """Run Table I, print and record it, and check the paper's shape."""
+    config = SuiteConfig(circuits=tuple(bench_rows()), scale=bench_scale(),
+                         n_frames=bench_frames(),
+                         n_patterns=bench_patterns())
+    suite = once(benchmark, run_suite, config)
+    assert [run.status for run in suite.runs] == ["ok"] * len(suite.runs)
 
-    def run():
-        return optimize_circuit(circuit, n_frames=bench_frames(),
-                                n_patterns=bench_patterns())
-
-    result = once(benchmark, run)
-    _RESULTS[row_name] = table1_row(result)
-
-    # Per-row sanity: the solvers never regress their own objective, and
-    # the retimed netlists are well-formed.
-    from repro.graph.timing import achieved_period
-    from repro.graph.retiming_graph import RetimingGraph
-
-    for outcome in result.outcomes.values():
-        graph = RetimingGraph.from_circuit(outcome.circuit)
-        assert achieved_period(graph, graph.zero_retiming()) <= \
-            result.phi + 1e-6
-
-
-def test_zz_table1_summary(benchmark):
-    """Print the reproduced Table I and check the paper's shape."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = [_RESULTS[name] for name in bench_rows() if name in _RESULTS]
-    if len(rows) < 3:
-        pytest.skip("not enough rows collected (filtered run)")
-    table = format_comparison(rows)
-    print("\n" + table)
-
-    d_ref = np.array([percent(r["ref_ser"], r["ser"]) for r in rows])
-    d_new = np.array([percent(r["new_ser"], r["ser"]) for r in rows])
-    dff_ref = np.array([percent(r["ref_ff"], r["FF"]) for r in rows])
-    dff_new = np.array([percent(r["new_ff"], r["FF"]) for r in rows])
-    ratio = np.array([100.0 * r["ref_ser"] / r["new_ser"] for r in rows])
-    t_ref = np.array([r["ref_time"] for r in rows])
-    t_new = np.array([r["new_time"] for r in rows])
-
-    averages = (
-        f"AVG (paper in parens): "
-        f"dSER_ref {d_ref.mean():+.1f}% (-26.7%)  "
-        f"dSER_new {d_new.mean():+.1f}% (-32.7%)  "
-        f"ratio {ratio.mean():.0f}% (115%)  "
-        f"dFF_ref {dff_ref.mean():+.1f}% (-43.0%)  "
-        f"dFF_new {dff_new.mean():+.1f}% (-38.0%)  "
-        f"t_new/t_ref {t_new.sum() / max(t_ref.sum(), 1e-9):.2f}x "
-        f"(2.5x)")
-    print("\n" + averages)
-    # Persist the reproduced table next to the harness: pytest captures
-    # stdout, so a plain `pytest benchmarks/ --benchmark-only` run still
-    # leaves the full table on disk for the record.
-    import pathlib
-
+    summary = summarize(suite.reports)
+    table = format_comparison(suite.rows)
+    averages = format_averages(summary)
+    print("\n" + table + "\n\n" + averages + "\n" + PAPER)
+    if summary["rows"] < 3:
+        pytest.skip("not enough rows for the shape checks (filtered run)")
+    # pytest captures stdout, so the table is also kept next to the
+    # harness for the record.
     report = pathlib.Path(__file__).with_name("table1_report.txt")
-    report.write_text(table + "\n\n" + averages + "\n")
+    report.write_text(table + "\n\n" + averages + "\n" + PAPER + "\n")
 
     # Shape assertions (loose: the substrate is a scaled synthetic
     # suite; see EXPERIMENTS.md for the full discussion).
-    assert d_ref.mean() < -5.0, "MinObs must reduce SER on average"
-    assert d_new.mean() < -5.0, "MinObsWin must reduce SER on average"
-    assert dff_new.mean() < 0.0, "register-count by-product reduction"
-    assert ratio.min() > 60.0, \
+    assert summary["dser_minobs"] < -5.0, "MinObs must reduce SER on average"
+    assert summary["dser_minobswin"] < -5.0, \
+        "MinObsWin must reduce SER on average"
+    assert summary["dff_minobswin"] < 0.0, \
+        "register-count by-product reduction"
+    assert summary["ser_ratio_min"] > 60.0, \
         "MinObsWin never catastrophically below MinObs (paper min 67%)"
-    assert ratio.max() >= 100.0, \
+    assert summary["ser_ratio_max"] >= 100.0, \
         "MinObsWin wins or ties somewhere (paper max 194%)"

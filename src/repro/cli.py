@@ -193,6 +193,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     from .circuits.suites import TABLE1_ROWS
+    from .reporting import format_averages, save_results, summarize
     from .runtime.suite import SuiteConfig, run_suite
     from .ser.report import format_comparison
 
@@ -214,16 +215,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
                           progress=progress)
     finally:
         _finish_profiler(args, profiler)
-    rows = suite.rows
-    print(format_comparison(rows))
-    _print_table1_averages(rows)
+    print(format_comparison(suite.rows))
+    print(format_averages(summarize(suite.reports)))
     for failure in suite.failures:
         print(f"warning: {failure.circuit}/{failure.stage}"
               f"[{failure.rung}] {failure.error}: {failure.message} "
               f"-> {failure.action}", file=sys.stderr)
     if args.json:
-        from .reporting import save_results
-
         save_results(suite.reports, args.json)
         print(f"JSON report written to {args.json}", file=sys.stderr)
     _finish_telemetry(args, trace_path)
@@ -291,26 +289,6 @@ def _use_cache(args: argparse.Namespace) -> bool:
     rest of the command line).
     """
     return (args.cache or args.cache_dir is not None) and not args.no_cache
-
-
-def _print_table1_averages(rows) -> None:
-    import math
-
-    def mean(values):
-        finite = [v for v in values if math.isfinite(v)]
-        return sum(finite) / len(finite) if finite else float("nan")
-
-    d_ref = [percent(r["ref_ser"], r["ser"]) for r in rows]
-    d_new = [percent(r["new_ser"], r["ser"]) for r in rows]
-    ratio = [100.0 * r["ref_ser"] / r["new_ser"] for r in rows
-             if r["new_ser"]]
-    dff_ref = [percent(r["ref_ff"], r["FF"]) for r in rows]
-    dff_new = [percent(r["new_ff"], r["FF"]) for r in rows]
-    print(f"AVG  dSER_ref {mean(d_ref):+.1f}%  "
-          f"dSER_new {mean(d_new):+.1f}%  "
-          f"SER_ref/SER_new {mean(ratio):.0f}%  "
-          f"dFF_ref {mean(dff_ref):+.1f}%  "
-          f"dFF_new {mean(dff_new):+.1f}%")
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:

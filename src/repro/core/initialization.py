@@ -17,11 +17,13 @@ Implements Sec. V of the paper:
 
 An optional *maximal start* pushes the initial retiming to the pointwise
 maximum of the feasibility region (Bellman-Ford on the P0 difference
-constraints followed by forced repair of P1'/P2').  Decrease-only descent
-from a pointwise-maximal start is what makes the incremental solver
-globally optimal on the no-P2' relaxation (lattice argument; verified
-against the LP oracle in the tests); the paper-faithful default starts
-from the Sec. V retiming instead.
+constraints followed by forced repair of P1'/P2').  An exact
+decrease-only descent from a pointwise-maximal start is globally optimal
+on the no-P2' relaxation (lattice argument), but the solver's pins can
+stop short of it: the tests match the LP oracle on 8-gate random
+circuits only, and MinObs misses the LP optimum on four small-tier
+corpus circuits (docs/algorithm.md Sec. 5).  The paper-faithful default
+starts from the Sec. V retiming instead.
 """
 
 from __future__ import annotations

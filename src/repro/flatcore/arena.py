@@ -143,10 +143,6 @@ class FlatCircuit:
     def n_edges(self) -> int:
         return len(self.edge_gate)
 
-    def gate_node(self, ordinal: int) -> int:
-        """Node id of gate ordinal ``ordinal``."""
-        return self.n_inputs + ordinal
-
 
 @nogc
 def lower(circuit: Circuit) -> FlatCircuit:

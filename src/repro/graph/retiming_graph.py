@@ -16,7 +16,7 @@ looked up.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,11 +200,6 @@ class RetimingGraph:
         u, v, w = self.edge_arrays()
         return w + r[v] - r[u]
 
-    def edge_weight(self, eidx: int, r: Sequence[int] | np.ndarray) -> int:
-        """``w_r`` of a single edge under retiming ``r``."""
-        e = self.edges[eidx]
-        return e.w + int(r[e.v]) - int(r[e.u])
-
     def validate_retiming(self, r: Sequence[int] | np.ndarray) -> None:
         """Raise :class:`RetimingError` unless ``r`` is a valid retiming.
 
@@ -323,13 +318,6 @@ class RetimingGraph:
             raise RetimingError(
                 "retiming leaves a register-free cycle")  # pragma: no cover
         return order
-
-    def vertex_subset(self, names: Iterable[str]) -> np.ndarray:
-        """Boolean mask over vertices for a collection of names."""
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        for name in names:
-            mask[self.index[name]] = True
-        return mask
 
     def __repr__(self) -> str:
         return (f"RetimingGraph(|V|={self.n_vertices}, |E|={self.n_edges}, "

@@ -15,7 +15,7 @@ retiming view in :mod:`repro.graph.retiming_graph`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .._util import check_name, topological_order
@@ -366,10 +366,3 @@ class Circuit:
         points: list[tuple[str, str]] = [("po", net) for net in self.outputs]
         points.extend(("dff", dff.d) for dff in self.dffs.values())
         return points
-
-    def iter_elements(self) -> Iterable[tuple[str, object]]:
-        """Yield ``(kind, element)`` for every gate and flip-flop."""
-        for gate in self.gates.values():
-            yield "gate", gate
-        for dff in self.dffs.values():
-            yield "dff", dff

@@ -1,10 +1,11 @@
-"""Machine-readable experiment reporting (JSON export/import).
+"""Machine-readable experiment reporting (JSON export/import, Table I AVG).
 
 The pipeline's :class:`~repro.pipeline.PipelineResult` carries live
 objects (circuits, numpy arrays); this module flattens results to plain
 JSON-serializable dictionaries so experiment sweeps can be archived,
 diffed, and re-plotted without re-running the flow, and loads them back
-for comparison.
+for comparison.  :func:`summarize` is the one place the Table I
+averages are computed from those flattened reports.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 from collections.abc import Mapping, Sequence
 from typing import Any
 
+from ._util import percent
 from .errors import AnalysisError
 from .pipeline import PipelineResult
 
@@ -96,35 +98,67 @@ def load_results(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
     return list(payload["results"])
 
 
-def summarize(results: Sequence[Mapping[str, Any]]) -> dict[str, float]:
-    """Aggregate the Table I averages from flattened results."""
-    import numpy as np
+def summarize(reports: Sequence[Mapping[str, Any]]) -> dict[str, float]:
+    """The Table I averages of paper Sec. VI over flattened reports.
 
-    def pct(new: float, old: float) -> float:
-        return 100.0 * (new - old) / old if old else 0.0
-
+    Failure reports (no ``algorithms``) are skipped, so a circuit that
+    failed does not move an average.  Keys: ``rows`` (reports used);
+    the mean ``dser_*`` / ``dff_*`` changes in percent against the
+    original circuit; ``ser_ratio`` (mean SER_MinObs / SER_MinObsWin in
+    percent) with its ``ser_ratio_min`` / ``ser_ratio_max``; and
+    ``time_ratio``, total MinObsWin over total MinObs solve time, which
+    ``time_ratio_no_fallback`` repeats over the ``rows_no_fallback``
+    rows whose initialization did not fall back -- the paper's ratio
+    "excluding immediate-exit rows".  A mean with no values is omitted.
+    """
+    used = [r for r in reports if "algorithms" in r]
     d_ref, d_new, ratio, ff_ref, ff_new = [], [], [], [], []
-    for r in results:
-        if "algorithms" not in r:
-            continue  # failure report (perf/failures only): nothing to average
+    times: list[tuple[float, float]] = []  # (MinObsWin, MinObs) per row
+    no_fallback: list[tuple[float, float]] = []
+    for r in used:
         algs = r["algorithms"]
         base = r["ser_original"]["total"]
-        if "minobs" in algs:
-            d_ref.append(pct(algs["minobs"]["ser_total"], base))
-            ff_ref.append(pct(algs["minobs"]["registers"],
-                              r["registers"]))
-        if "minobswin" in algs:
-            d_new.append(pct(algs["minobswin"]["ser_total"], base))
-            ff_new.append(pct(algs["minobswin"]["registers"],
-                              r["registers"]))
-        if "minobs" in algs and "minobswin" in algs and \
-                algs["minobswin"]["ser_total"]:
-            ratio.append(100.0 * algs["minobs"]["ser_total"]
-                         / algs["minobswin"]["ser_total"])
-    out: dict[str, float] = {}
+        ref, new = algs.get("minobs"), algs.get("minobswin")
+        if ref is not None:
+            d_ref.append(percent(ref["ser_total"], base))
+            ff_ref.append(percent(ref["registers"], r["registers"]))
+        if new is not None:
+            d_new.append(percent(new["ser_total"], base))
+            ff_new.append(percent(new["registers"], r["registers"]))
+        if ref is not None and new is not None:
+            if new["ser_total"]:
+                ratio.append(100.0 * ref["ser_total"] / new["ser_total"])
+            times.append((new["runtime"], ref["runtime"]))
+            if not r["used_fallback"]:
+                no_fallback.append(times[-1])
+    out: dict[str, float] = {"rows": len(used),
+                             "rows_no_fallback": len(no_fallback)}
     for key, values in (("dser_minobs", d_ref), ("dser_minobswin", d_new),
                         ("ser_ratio", ratio), ("dff_minobs", ff_ref),
                         ("dff_minobswin", ff_new)):
         if values:
-            out[key] = float(np.mean(values))
+            out[key] = sum(values) / len(values)
+    if ratio:
+        out["ser_ratio_min"] = min(ratio)
+        out["ser_ratio_max"] = max(ratio)
+    for key, pairs in (("time_ratio", times),
+                       ("time_ratio_no_fallback", no_fallback)):
+        t_ref = sum(t[1] for t in pairs)
+        if t_ref > 0:
+            out[key] = sum(t[0] for t in pairs) / t_ref
     return out
+
+
+def format_averages(summary: Mapping[str, float]) -> str:
+    """The AVG line under a Table I report, from :func:`summarize`."""
+    nan = float("nan")
+    get = summary.get
+    return (f"AVG of {summary['rows']} rows  "
+            f"dSER_ref {get('dser_minobs', nan):+.1f}%  "
+            f"dSER_new {get('dser_minobswin', nan):+.1f}%  "
+            f"SER_ref/SER_new {get('ser_ratio', nan):.0f}%  "
+            f"dFF_ref {get('dff_minobs', nan):+.1f}%  "
+            f"dFF_new {get('dff_minobswin', nan):+.1f}%  "
+            f"t_new/t_ref {get('time_ratio', nan):.2f}x "
+            f"({summary['rows_no_fallback']} rows without fallback: "
+            f"{get('time_ratio_no_fallback', nan):.2f}x)")

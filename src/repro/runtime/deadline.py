@@ -1,18 +1,15 @@
-"""Wall-clock deadlines with cooperative cancellation.
+"""Wall-clock deadlines for one stage attempt.
 
 A :class:`Deadline` is a monotonic wall-clock budget shared by one stage
 attempt.  The core solvers deliberately do not import this module (core
-sits below runtime in the layering); instead they accept a plain float
-budget plus a ``should_stop`` callback, both of which a ``Deadline``
-produces via :meth:`Deadline.remaining` and :meth:`Deadline.as_should_stop`.
+sits below runtime in the layering); the suite hands them a plain float
+``deadline`` budget, the value of :meth:`Deadline.remaining`.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-
-from ..errors import DeadlineExceeded
 
 
 class Deadline:
@@ -37,11 +34,6 @@ class Deadline:
         self._clock = clock
         self.started = clock()
 
-    @classmethod
-    def unlimited(cls) -> "Deadline":
-        """A deadline that never expires."""
-        return cls(None)
-
     def elapsed(self) -> float:
         """Seconds since the deadline started."""
         return self._clock() - self.started
@@ -59,18 +51,6 @@ class Deadline:
     def expired(self) -> bool:
         """True once the budget is spent."""
         return self.budget is not None and self.elapsed() > self.budget
-
-    def check(self, stage: str = "stage") -> None:
-        """Raise :class:`~repro.errors.DeadlineExceeded` when expired."""
-        if self.expired():
-            elapsed = self.elapsed()
-            raise DeadlineExceeded(
-                f"{stage} exceeded its {self.budget:g}s deadline "
-                f"({elapsed:.3f}s elapsed)", stage=stage, elapsed=elapsed)
-
-    def as_should_stop(self) -> Callable[[], bool]:
-        """A zero-argument cancellation predicate for cooperative loops."""
-        return self.expired
 
     def __repr__(self) -> str:
         budget = "inf" if self.budget is None else f"{self.budget:g}s"

@@ -55,15 +55,6 @@ class GlitchResult:
         default_factory=list)
     n_patterns: int = 0
 
-    def observed_mask(self) -> np.ndarray:
-        """Patterns in which the flip reaches any observation point."""
-        if not self.arrivals:
-            raise SimulationError("no arrivals recorded")
-        acc = np.zeros_like(self.arrivals[0][3])
-        for _, _, _, mask in self.arrivals:
-            acc = acc | mask
-        return acc
-
 
 def _merge_arrivals(entries: list[tuple[float, np.ndarray]],
                     cap: int) -> list[tuple[float, np.ndarray]]:

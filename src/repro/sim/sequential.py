@@ -93,9 +93,3 @@ def simulate_trace(circuit: Circuit,
     """Simulate a fixed sequence of input cycles; returns per-cycle nets."""
     sim = SequentialSimulator(circuit, n_patterns, state)
     return [sim.step(cycle_inputs) for cycle_inputs in input_trace]
-
-
-def output_trace(frames: Sequence[Mapping[str, np.ndarray]],
-                 outputs: Sequence[str]) -> list[list[np.ndarray]]:
-    """Extract primary-output signatures from simulated frames."""
-    return [[frame[net] for net in outputs] for frame in frames]

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import DeadlineExceeded
 from repro.runtime.deadline import Deadline
 
 
@@ -51,29 +50,6 @@ class TestDeadline:
         clock.advance(1e9)
         assert not d.expired()
         assert d.remaining() is None
-        d.check("anything")  # must not raise
-
-    def test_unlimited_classmethod(self):
-        assert Deadline.unlimited().budget is None
-
-    def test_check_raises_with_stage_and_elapsed(self):
-        clock = FakeClock()
-        d = Deadline(1.0, clock=clock)
-        d.check("solve")
-        clock.advance(2.0)
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            d.check("solve")
-        assert excinfo.value.stage == "solve"
-        assert excinfo.value.elapsed == pytest.approx(2.0)
-        assert "solve" in str(excinfo.value)
-
-    def test_as_should_stop_is_live(self):
-        clock = FakeClock()
-        d = Deadline(1.0, clock=clock)
-        stop = d.as_should_stop()
-        assert stop() is False
-        clock.advance(2.0)
-        assert stop() is True
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "s13207" in out and "AVG" in out
 
+    def test_table1_failed_row_leaves_averages(self, capsys):
+        """An unknown row fails alone; it does not count as -100% dFF."""
+        def averages(names):
+            assert main(["table1", *names, "--scale", "0.004", "--frames",
+                         "2", "--patterns", "64"]) == 0
+            line, = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("AVG")]
+            return line.split("  t_new/t_ref")[0]  # drop wall-clock ratios
+
+        assert averages(["s13207", "no_such_row"]) == averages(["s13207"])
+
     def test_generate_row(self, tmp_path, capsys):
         out_path = str(tmp_path / "row.bench")
         code = main(["generate", out_path, "--row", "b14_opt",
