@@ -29,8 +29,7 @@ The cache is *opt-in*: no global cache is active until
 :func:`configure` (or the CLI ``--cache`` / ``--cache-dir`` flags)
 installs one, and an uncached call costs one module-global ``None``
 check.  See ``docs/algorithm.md`` (analysis cache section) for the key
-scheme and the incremental ELW reuse built on top of it
-(:func:`repro.core.elw.incremental_circuit_elws`).
+scheme.
 """
 
 from .store import (MISS, AnalysisCache, CacheStats, activated, active,

@@ -82,13 +82,16 @@ def initialize(graph: RetimingGraph, setup: float = 0.0, hold: float = 2.0,
     from ..retime.minperiod import min_period_retiming
     from ..retime.setup_hold import min_period_setup_hold, repair_constraints
 
+    # Phi_min bounds the setup+hold search and is the fallback's period.
+    phi_min, r_min = min_period_retiming(graph, setup)
     used_fallback = False
     try:
-        phi_base, r0 = min_period_setup_hold(graph, setup, hold)
+        phi_base, r0 = min_period_setup_hold(graph, setup, hold,
+                                             phi_min=phi_min)
         phi = phi_base * (1.0 + epsilon)
     except InfeasibleError:
         used_fallback = True
-        phi_base, r0 = min_period_retiming(graph, setup)
+        phi_base, r0 = phi_min, r_min
         phi = phi_base * (1.0 + epsilon)
         # Best effort: even without full hold feasibility, spread the
         # registers to maximize the minimal register-to-latch path at

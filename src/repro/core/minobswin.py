@@ -278,6 +278,8 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
             tracer.add_attrs(iterations=iterations, commits=commits,
                              passes=passes, objective=int(objective),
                              forest_evals=forest.evaluations,
+                             checker_updates=labels.updates,
+                             checker_full_passes=labels.full_passes,
                              **{f"pins_{cause}": count
                                 for cause, count in pins.items()})
     REGISTRY.counter(

@@ -71,6 +71,11 @@ class RetimingGraph:
         self.in_edges: list[list[int]] = [[]]
         self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | \
             None = None
+        # zero_arrivals() result: the vector, or the message of the
+        # register-free cycle that has none.
+        self._zero_arrivals: np.ndarray | str | None = None
+        #: FEAS probes run on this graph (a statistic for the trace).
+        self.feas_probes = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -88,6 +93,7 @@ class RetimingGraph:
         self.delays.append(float(delay))
         self.out_edges.append([])
         self.in_edges.append([])
+        self._zero_arrivals = None
         return idx
 
     def add_edge(self, u: int | str, v: int | str, w: int,
@@ -104,6 +110,7 @@ class RetimingGraph:
         self.out_edges[ui].append(eidx)
         self.in_edges[vi].append(eidx)
         self._edge_arrays = None
+        self._zero_arrivals = None
         return eidx
 
     @classmethod
@@ -193,6 +200,25 @@ class RetimingGraph:
                             count=n)
             self._edge_arrays = (u, v, w)
         return self._edge_arrays
+
+    def zero_arrivals(self) -> np.ndarray:
+        """Cached :func:`~repro.graph.timing.arrival_times` under the
+        zero retiming (do not mutate).
+
+        Raises :class:`RetimingError` on every call when the unretimed
+        graph has a register-free cycle.
+        """
+        if self._zero_arrivals is None:
+            from .timing import arrival_times
+
+            try:
+                self._zero_arrivals = arrival_times(self,
+                                                    self.zero_retiming())
+            except RetimingError as exc:
+                self._zero_arrivals = str(exc)
+        if isinstance(self._zero_arrivals, str):
+            raise RetimingError(self._zero_arrivals)
+        return self._zero_arrivals
 
     def retimed_weights(self, r: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vector of ``w_r(e)`` for all edges under retiming ``r``."""

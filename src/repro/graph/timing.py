@@ -187,6 +187,9 @@ class IncrementalLabels:
     (``w_r >= 0``) may be passed; skipping invalid states is fine, as the
     next update diffs against the last one it saw.  The lists are owned
     by the instance and are valid until the next update.
+
+    ``updates`` counts the :meth:`update` calls and ``full_passes`` the
+    full passes they ran, the first update's included.
     """
 
     def __init__(self, graph: RetimingGraph, phi: float, setup: float,
@@ -210,12 +213,15 @@ class IncrementalLabels:
         # Edge index -> (eidx, u, v, length) of every short registered
         # edge (u, v).
         self._short: dict[int, tuple[int, int, int, float]] = {}
+        self.updates = 0
+        self.full_passes = 0
 
     def update(self, weights: np.ndarray,
                ) -> tuple[list[float], list[float], list[int], list[int],
                           list[int], list[int]]:
         """``label_lists(graph, weights, ...)``, paying only for what
         changed since the previous update."""
+        self.updates += 1
         previous, self._weights = self._weights, weights
         if previous is not None:
             changed = np.flatnonzero(weights != previous)
@@ -239,6 +245,7 @@ class IncrementalLabels:
     def _full_pass(self, weights: np.ndarray) -> None:
         """Everything from scratch: the labels, a fresh rank, the fanout
         and the short-path set."""
+        self.full_passes += 1
         graph = self.graph
         order = graph.zero_weight_order(weights)
         self._lists = _labels_along(graph, weights, order, self.phi,

@@ -26,14 +26,18 @@ def feasible_retiming(graph: RetimingGraph, phi: float, setup: float = 0.0,
     times of the current retimed graph and increment ``r(v)`` for every
     vertex whose arrival exceeds ``phi - setup``.  Legality (P0) is
     asserted each round; FEAS preserves it for well-formed graphs.
+    A round at the zero retiming (round 0 unless ``r_init`` is given)
+    reads the graph's cached :meth:`~RetimingGraph.zero_arrivals`, so a
+    period search pays for that pass once.
     """
+    graph.feas_probes += 1
     n = graph.n_vertices
     r = np.zeros(n, dtype=np.int64) if r_init is None \
         else np.asarray(r_init, dtype=np.int64).copy()
     target = phi - setup + 1e-9
     for _ in range(n + 1):
         try:
-            delta = arrival_times(graph, r)
+            delta = _arrivals(graph, r)
         except RetimingError:
             return None
         late = delta > target
@@ -84,6 +88,10 @@ def min_period_retiming(graph: RetimingGraph, setup: float = 0.0,
     return _achieved(graph, r_best, setup), r_best
 
 
+def _arrivals(graph: RetimingGraph, r: np.ndarray) -> np.ndarray:
+    return arrival_times(graph, r) if r.any() else graph.zero_arrivals()
+
+
 def _achieved(graph: RetimingGraph, r: np.ndarray, setup: float) -> float:
-    delta = arrival_times(graph, r)
+    delta = _arrivals(graph, r)
     return float(delta.max()) + setup if len(delta) else setup

@@ -199,13 +199,17 @@ def _backward_fix(graph, r: np.ndarray, edge_index: int,
 
 def min_period_setup_hold(graph: RetimingGraph, setup: float = 0.0,
                           hold: float = 2.0, tol: float = 1e-6,
+                          phi_min: float | None = None,
                           ) -> tuple[float, np.ndarray]:
     """Minimal period with both setup and hold satisfied.
 
     Returns ``(phi_sh, r)``.  Raises :class:`InfeasibleError` when no
     hold-feasible retiming is found (the paper's reconvergent-path case).
+    ``phi_min`` is the setup-only minimum of :func:`min_period_retiming`
+    at ``tol``; it is searched here when not given.
     """
-    phi_min, r_min = min_period_retiming(graph, setup, tol)
+    if phi_min is None:
+        phi_min, _ = min_period_retiming(graph, setup, tol)
 
     def probe(phi: float) -> np.ndarray | None:
         seed = feasible_retiming(graph, phi, setup)

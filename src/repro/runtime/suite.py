@@ -40,7 +40,7 @@ import numpy as np
 
 from .. import cache as analysis_cache
 from ..cache import cached, obs_digest, timing_digest
-from ..core.elw import circuit_elws, incremental_circuit_elws
+from ..core.elw import _circuit_elws_impl, circuit_elws
 from ..core.initialization import InitialRetiming, initialize
 from ..core.minobswin import RetimingResult
 from ..errors import DeadlineExceeded, RetimingError
@@ -391,25 +391,23 @@ def _optimize_resilient(circuit: Circuit,
                           failures=failures)
 
     # Perf accounting: per-stage wall clocks, analysis-cache counter
-    # deltas, incremental-ELW reuse counts and the metrics-registry
-    # delta over this circuit.  All of it lands in report["perf"], which
-    # mask_volatile masks wholesale -- timings are wall clock and cache
-    # counters depend on warmth, so none of it may enter the result
-    # checksum.  Set up *before* stage 1 so even a circuit that fails in
-    # ``prepare`` reports the timings of whatever it did run.
+    # deltas and the metrics-registry delta over this circuit.  All of
+    # it lands in report["perf"], which mask_volatile masks wholesale --
+    # timings are wall clock and cache counters depend on warmth, so
+    # none of it may enter the result checksum.  Set up *before* stage 1
+    # so even a circuit that fails in ``prepare`` reports the timings of
+    # whatever it did run.
     cache_obj = analysis_cache.active()
     cache_before = cache_obj.stats.to_dict() if cache_obj is not None \
         else None
     metrics_before = REGISTRY.snapshot()
     stage_times: dict[str, float] = {}
-    elw_inc = {"reused": 0, "recomputed": 0, "fallbacks": 0}
 
     def perf_snapshot() -> dict[str, Any]:
         cache_counters: dict[str, Any] = {"enabled": cache_obj is not None}
         if cache_obj is not None:
             cache_counters.update(cache_obj.stats.delta(cache_before))
         return {"stages": dict(stage_times),
-                "elw_incremental": dict(elw_inc),
                 "cache": cache_counters,
                 "metrics": MetricsRegistry.delta(metrics_before,
                                                  REGISTRY.snapshot())}
@@ -485,10 +483,16 @@ def _optimize_resilient(circuit: Circuit,
             degradations.append(f"obs=attempt{obs_stage.attempts}")
 
         # ---- stage 3: initialization ---------------------------------
+        def sec5_initialize(ctx: Attempt) -> InitialRetiming:
+            try:
+                return cached_initialize(circuit, graph, setup, hold,
+                                         config.epsilon,
+                                         config.maximal_start)
+            finally:
+                telemetry.add_attrs(feas_probes=graph.feas_probes)
+
         init_stage = timed_ladder("initialize", [
-            ("setup-hold", lambda ctx: cached_initialize(
-                circuit, graph, setup, hold, config.epsilon,
-                config.maximal_start)),
+            ("setup-hold", sec5_initialize),
             ("degenerate", lambda ctx: _degenerate_initialize(
                 graph, setup, config.epsilon)),
         ])
@@ -496,9 +500,8 @@ def _optimize_resilient(circuit: Circuit,
         if init_stage.degraded:
             degradations.append("init=degenerate")
 
-        # The original circuit's ELWs, computed once and reused by every
-        # rung and algorithm that rebuilds a retiming (a failure still
-        # lands inside the ladder of the stage that first asked).
+        # The original circuit's ELWs, computed once per circuit (a
+        # failure lands inside the ladder of the stage that first asked).
         @functools.cache
         def elws_of_original():
             return circuit_elws(circuit, init.phi, setup, hold)
@@ -550,16 +553,12 @@ def _optimize_resilient(circuit: Circuit,
                         setup, exact_states=exact, seed=config.seed)
                     guard_dict = guard.to_dict()
                     guard.raise_if_failed(f"{name}/{label}")
-                # Incremental ELW reuse: the retimed rebuild shares every
-                # gate with the original, so its timing analysis starts
-                # from the original's ELWs and recomputes only the cones
-                # the register moves disturbed.
-                elws, inc = incremental_circuit_elws(
-                    retimed, circuit, elws_of_original(),
-                    init.phi, setup, hold)
-                elw_inc["reused"] += inc["reused"]
-                elw_inc["recomputed"] += inc["recomputed"]
-                elw_inc["fallbacks"] += int(inc["fallback"])
+                # The rebuild's ELWs from scratch (the flat kernel),
+                # uncached: each rebuild is analyzed once.  The original's
+                # entry is still looked up once per circuit, keeping the
+                # cache's lookup sequence (tests/cache/test_keys.py).
+                elws_of_original()
+                elws = _circuit_elws_impl(retimed, init.phi, setup, hold)
                 ser = analyze_ser(retimed, init.phi, setup, hold, obs=obs,
                                   elws=elws)
                 outcome = AlgorithmOutcome(result=solved, circuit=retimed,

@@ -123,17 +123,15 @@ def analyze_ser(circuit: Circuit, phi: float,
     n_frames, n_patterns, seed:
         See :mod:`repro.sim.odc`.
     elws:
-        Precomputed per-net ELWs (must match ``(phi, setup, hold)``);
-        pass the output of
-        :func:`repro.core.elw.incremental_circuit_elws` to reuse an
-        original circuit's timing analysis on a retimed rebuild.  When
-        omitted, :func:`~repro.core.elw.circuit_elws` is run here.
-        The suite also passes the original circuit's own ELWs when no
-        cache is active, so they are computed once per circuit.
+        Precomputed per-net ELWs (must match ``(phi, setup, hold)``).
+        When omitted, :func:`~repro.core.elw.circuit_elws` is run here.
+        The suite passes each retimed rebuild's ELWs, computed once by
+        the uncached kernel, and the original circuit's own ELWs when
+        no cache is active, so they are computed once per circuit.
 
     Cached under analysis kind ``"ser"`` when an analysis cache is
     active and ``elws`` is not supplied (precomputed ELWs have no
-    compact digest; the incremental path is already the fast one).
+    compact digest).
     """
     if phi <= 0:
         raise AnalysisError("clock period must be positive")

@@ -72,8 +72,9 @@ class TestNoDigestWithoutCache:
 
 class TestOriginalElwsOnce:
     def test_cache_off_suite(self, monkeypatch):
-        # The original circuit's ELWs serve its own SER and every
-        # retimed rebuild's incremental pass: one timing analysis.
+        # The original circuit's ELWs are computed once, for its own
+        # SER; the retimed rebuilds' ELWs come from the uncached kernel,
+        # which this count does not see.
         calls: list[str] = []
         original = circuit_elws
 

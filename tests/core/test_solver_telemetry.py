@@ -8,8 +8,8 @@ accounting: span count == ``result.iterations``, the per-iteration
 only feasible gain-commits ever change it), and the committed-gain
 reconstruction from ``keep_trace`` lands on the same final objective.
 Each iteration's phase times (select / diagnose / update) fit inside its
-span, and the ``solve`` span counts the forest DP's vertex evaluations
-and the pinned trees by cause.
+span, and the ``solve`` span counts the forest DP's vertex evaluations,
+the pinned trees by cause and the checker's updates and full passes.
 """
 
 import json
@@ -127,6 +127,12 @@ class TestSolverIterationSpans:
                              "pins_repeat", "pins_implied"}
         assert all(isinstance(n, int) and n >= 0 for n in pins.values())
         assert sum(pins.values()) == result.blocked > 0
+        # The checker's updates and the full passes among them (the
+        # first update is one).
+        updates = solve["attrs"]["checker_updates"]
+        full_passes = solve["attrs"]["checker_full_passes"]
+        assert isinstance(updates, int) and isinstance(full_passes, int)
+        assert 1 <= full_passes <= updates
         # Every iteration span is parented under the solve span.
         for record in records:
             if record["type"] == "span" and \

@@ -557,6 +557,32 @@ class TestIncrementalLabelsOracle:
                 assert invalid and valid > 1, name
 
 
+    def test_counters_match_calls(self, small_tier_graphs, monkeypatch):
+        passes: list[IncrementalLabels] = []
+        full_pass = IncrementalLabels._full_pass
+
+        def counting(self, weights):
+            passes.append(self)
+            full_pass(self, weights)
+
+        monkeypatch.setattr(IncrementalLabels, "_full_pass", counting)
+        rng = np.random.default_rng(27)
+        for name, g in small_tier_graphs.items():
+            r = random_valid_retiming(g, rng, g.n_vertices)
+            labels = IncrementalLabels(g, achieved_period(g, r), 0.0, 2.0,
+                                       False)
+            calls = 0
+            for _ in range(2 * g.n_vertices):
+                weights = g.retimed_weights(r)
+                if weights.min() >= 0:
+                    labels.update(weights)
+                    calls += 1
+                r[int(rng.integers(1, g.n_vertices))] += \
+                    int(rng.choice((-1, 1)))
+            assert labels.updates == calls, name
+            assert labels.full_passes == passes.count(labels) >= 1, name
+
+
 def brute_force_min_register_path(graph, r, hold_at_outputs):
     """Enumerate every register-to-register path through each registered
     internal edge's fanout gate; the shortest summed gate delay."""

@@ -304,3 +304,39 @@ class TestObservabilityCache:
         suite_mod.compute_observability(circuit, 3, 32, 1)  # other seed
         suite_mod.compute_observability(tiny_factory("beta"), 3, 32, 0)
         assert len(calls) == 3
+
+
+class TestRetimedSerFromScratch:
+    def test_small_tier_outcomes_match_fresh_analysis(self):
+        # Each retimed rebuild's SER equals a from-scratch analysis of
+        # the outcome's circuit, and the one the incremental ELW pass
+        # over the original's ELWs gives (an independent implementation).
+        from repro.core.elw import circuit_elws, incremental_circuit_elws
+        from repro.corpus.families import corpus_circuit, tier_specs
+        from repro.ser.analysis import analyze_ser
+
+        names = tuple(spec.name for spec in tier_specs("small"))
+        config = SuiteConfig(circuits=names, seed=0, n_frames=2,
+                             n_patterns=32)
+        result = run_suite(config, circuit_factory=lambda name:
+                           corpus_circuit("small", name))
+        compared = 0
+        for run in result.runs:
+            assert run.status == "ok", run.name
+            pipeline = run.result
+            original = corpus_circuit("small", run.name)
+            setup = original.library.setup_time
+            hold = original.library.hold_time
+            base = circuit_elws(original, pipeline.phi, setup, hold)
+            for algorithm, outcome in pipeline.outcomes.items():
+                fresh = analyze_ser(outcome.circuit, pipeline.phi, setup,
+                                    hold, obs=pipeline.obs)
+                assert outcome.ser == fresh, (run.name, algorithm)
+                elws, _ = incremental_circuit_elws(
+                    outcome.circuit, original, base, pipeline.phi, setup,
+                    hold)
+                assert outcome.ser == analyze_ser(
+                    outcome.circuit, pipeline.phi, setup, hold,
+                    obs=pipeline.obs, elws=elws), (run.name, algorithm)
+                compared += 1
+        assert compared == 2 * len(names)
