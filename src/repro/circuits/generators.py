@@ -170,7 +170,7 @@ def random_sequential_circuit(name: str, n_gates: int, n_dffs: int,
     for gi, gname in enumerate(gate_names):
         for di in arrivals_by_gate.pop(gi, ()):
             bisect.insort(eligible, di)
-        n_in = int(np.clip(round(rng.normal(avg_fanin, 0.9)), 1, 4))
+        n_in = min(4, max(1, int(round(rng.normal(avg_fanin, 0.9)))))
         window_start = max(0, gi - locality)
         pool: list[str] = list(gate_names[window_start:gi])
         if gi < pi_zone or not pool:

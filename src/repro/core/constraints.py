@@ -105,8 +105,9 @@ class Violation:
         Violating vertex (P1's path head / P2's register-fanout gate).
     note:
         Human-readable description for logs and tests.  The checker
-        passes a zero-argument callable, rendered on first read: walks
-        diagnose thousands of violations and read almost no note.
+        passes a callable of the violation, rendered on first read:
+        walks diagnose thousands of violations and read almost no note,
+        and one callable serves a whole batch of P0 diagnoses.
 
     Two violations are equal when every attribute, the rendered note
     included, is.
@@ -116,7 +117,7 @@ class Violation:
 
     def __init__(self, kind: str, p: int, q: int, deficit: int,
                  edge: int | None = None, vertex: int | None = None,
-                 note: str | Callable[[], str] = ""):
+                 note: str | Callable[[Violation], str] = ""):
         self.kind = kind
         self.p = p
         self.q = q
@@ -129,7 +130,7 @@ class Violation:
     def note(self) -> str:
         note = self._note
         if not isinstance(note, str):
-            note = self._note = note()
+            note = self._note = note(self)
         return note
 
     @property
@@ -254,16 +255,13 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
     negative = np.nonzero(weights < 0)[0]
     if negative.size:
         negative = negative[:limit]
-        edges = graph.edges
-        names = graph.names
-        out: list[Violation] = []
-        for eidx, deficit in zip(negative.tolist(),
-                                 (-weights[negative]).tolist()):
-            e = edges[eidx]
-            out.append(Violation("P0", e.v, e.u, deficit, eidx, None,
-                                 partial(_p0_note, names, e.u, e.v,
-                                         deficit)))
-        return out
+        tails, heads, _ = graph.edge_arrays()
+        note = partial(_p0_note, graph.names)
+        return [Violation("P0", v, u, deficit, eidx, None, note)
+                for eidx, u, v, deficit in zip(
+                    negative.tolist(), tails[negative].tolist(),
+                    heads[negative].tolist(),
+                    (-weights[negative]).tolist())]
 
     if labels is None:
         L, R, _, rt, lsucc, rsucc = label_lists(
@@ -292,14 +290,16 @@ def find_violations(problem: Problem, r: Sequence[int] | np.ndarray,
     return [violation] if violation is not None else []
 
 
-def _p0_note(names: list[str], u: int, v: int, deficit: int) -> str:
+def _p0_note(names: list[str], violation: Violation) -> str:
+    u, v, deficit = violation.q, violation.p, violation.deficit
     return (f"edge {names[u]} -> {names[v]} has {-deficit} registers; "
             f"{names[u]} must move {deficit} more")
 
 
-def _p2_note(problem: Problem, v: int, length: float, z: int, y: int,
-             deficit: int) -> str:
+def _p2_note(problem: Problem, length: float, z: int,
+             violation: Violation) -> str:
     names = problem.graph.names
+    v, y, deficit = violation.vertex, violation.q, violation.deficit
     head = (f"short path {length:.3f} < R_min {problem.rmin:.3f} "
             f"from {names[v]}")
     if y == 0:
@@ -307,7 +307,9 @@ def _p2_note(problem: Problem, v: int, length: float, z: int, y: int,
     return f"{head}; clear {deficit} registers off {names[z]} -> {names[y]}"
 
 
-def _p1_note(names: list[str], worst: int, z: int, slack: float) -> str:
+def _p1_note(names: list[str], z: int, slack: float,
+             violation: Violation) -> str:
+    worst = violation.vertex
     return (f"longest path from {names[worst]} to {names[z]} violates "
             f"setup by {-slack:.3f}; move a register out of {names[worst]}")
 
@@ -349,8 +351,8 @@ def _check_p2(problem: Problem, weights: np.ndarray,
         if key in seen_targets:
             continue
         seen_targets.add(key)
-        out.append(Violation("P2", mover, y, deficit, eidx, v, partial(
-            _p2_note, problem, v, length, z, y, deficit)))
+        out.append(Violation("P2", mover, y, deficit, eidx, v,
+                             partial(_p2_note, problem, length, z)))
         if limit is not None and len(out) >= limit:
             break
     return out
@@ -384,4 +386,4 @@ def _check_p1(problem: Problem, L: list[float], lsucc: list[int],
     mover = _first_mover(delta, [z, *reversed(path[1:])])
     return Violation(
         kind="P1", p=mover, q=worst, deficit=1, vertex=worst,
-        note=partial(_p1_note, graph.names, worst, z, worst_slack))
+        note=partial(_p1_note, graph.names, z, worst_slack))

@@ -157,7 +157,7 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
     forest = RegularForest(problem.b, pinned=0)
     trace: list[tuple] = []
     iterations = commits = passes = constraints_added = blocked = 0
-    # Pinned trees by cause (see _apply_violation); they sum to blocked.
+    # Pinned trees by cause (see _apply_violations); they sum to blocked.
     pins = dict.fromkeys(PIN_CAUSES, 0)
 
     # Solver introspection: one "solve" span around the whole run and a
@@ -250,21 +250,10 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
 
                 # The whole batch shares one timing pass: every diagnosis
                 # is a sound implication for the same tentative move.
-                for violation in violations:
-                    key = (violation.kind, violation.p, violation.q,
-                           violation.deficit)
-                    seen_diagnoses[key] = seen_diagnoses.get(key, 0) + 1
-                    outcome = _apply_violation(forest, violation, delta,
-                                               repeat=seen_diagnoses[key])
-                    if outcome == "constraint":
-                        constraints_added += 1
-                    else:
-                        pins[outcome] += 1
-                        blocked += 1
-                    if keep_trace:
-                        trace.append(
-                            ("constraint", violation.kind, violation.p,
-                             violation.q, violation.deficit, outcome))
+                constraints_added += _apply_violations(
+                    forest, violations, delta.tolist(), seen_diagnoses,
+                    pins, trace if keep_trace else None)
+                blocked = sum(pins.values())
                 if tracer is not None:
                     _trace_iteration(iter_t0, "diagnose", t_selected,
                                      t_diagnosed)
@@ -294,41 +283,59 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
         runtime=time.perf_counter() - start, trace=trace)
 
 
-def _apply_violation(forest: RegularForest, violation: Violation,
-                     delta: np.ndarray, repeat: int = 1) -> str:
-    """Update the forest for one diagnosed violation.
+def _apply_violations(forest: RegularForest, violations: list[Violation],
+                      moves: list[int], seen: dict[tuple, int],
+                      pins: dict[str, int], trace: list[tuple] | None,
+                      ) -> int:
+    """Update the forest for one batch of diagnosed violations.
 
-    Returns ``"constraint"`` when an active constraint was recorded, or
-    the :data:`PIN_CAUSES` entry of a move that had to be withdrawn (the
-    pin guarantees forward progress in all of them).
+    ``moves`` is the tentative move (the forest's selection) as a list.
+    Each violation either records an active constraint -- its mover
+    ``p`` drags ``q`` by ``deficit`` more than ``moves[q]`` -- or, for a
+    move that has to be withdrawn, pins the responsible tree(s) to the
+    host and counts the :data:`PIN_CAUSES` entry in ``pins`` (the pin
+    guarantees forward progress in all of them).  ``seen`` counts each
+    diagnosis over the pass; ``trace``, when given, gets one
+    ``("constraint", kind, p, q, deficit, outcome)`` event each.
+    Returns the number of constraints recorded.
 
     Weights are monotone within a pass (``max`` of the stored and newly
     required amounts): BreakTree severs constraints, so oscillating
     weights could otherwise replay the same diagnosis forever.
     """
-    if not violation.fixable:
-        cause = "unfixable"
-    elif violation.p < 0:
-        cause = "no_mover"
-    elif repeat > 3:
-        cause = "repeat"
-    else:
-        required = int(delta[violation.q]) + violation.deficit
-        required = max(required, forest.weight[violation.q])
-        if forest.add_constraint(violation.p, violation.q, required):
-            return "constraint"
-        # The constraint was already implied yet the violation persists;
-        # withdraw the move to guarantee progress.
-        cause = "implied"
-    _pin_movers(forest, violation, delta)
-    return cause
-
-
-def _pin_movers(forest: RegularForest, violation: Violation,
-                delta: np.ndarray) -> None:
-    """Pin the tree(s) responsible for an unresolvable violation."""
-    if violation.p >= 0:
-        forest.pin_tree(violation.p)
-        return
-    for v in np.nonzero(delta)[0]:
-        forest.pin_tree(int(v))
+    weight = forest.weight
+    added = 0
+    for violation in violations:
+        kind = violation.kind
+        p = violation.p
+        q = violation.q
+        deficit = violation.deficit
+        key = (kind, p, q, deficit)
+        repeat = seen[key] = seen.get(key, 0) + 1
+        if not violation.fixable:
+            outcome = "unfixable"
+        elif p < 0:
+            outcome = "no_mover"
+        elif repeat > 3:
+            outcome = "repeat"
+        else:
+            required = max(moves[q] + deficit, weight[q])
+            if forest.add_constraint(p, q, required):
+                outcome = "constraint"
+            else:
+                # Already implied yet the violation persists: withdraw
+                # the move to guarantee progress.
+                outcome = "implied"
+        if outcome == "constraint":
+            added += 1
+        else:
+            pins[outcome] += 1
+            if p >= 0:
+                forest.pin_tree(p)
+            else:
+                for v, move in enumerate(moves):
+                    if move:
+                        forest.pin_tree(v)
+        if trace is not None:
+            trace.append(("constraint", kind, p, q, deficit, outcome))
+    return added

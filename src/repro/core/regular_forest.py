@@ -19,16 +19,19 @@ The program is incremental, in the spirit of [20]'s incremental
 regularity: each vertex keeps its two DP states between calls, and a
 *stale* flag (closed under ancestors) marks the states a structural
 operation invalidated -- the re-rooted path, the new parent's ancestor
-chain, a broken-off or re-weighted vertex.  Each tree root keeps its
-cached selection; an operation drops the cached selections of the trees
-it touches and queues the resulting roots.  A call re-evaluates only
-stale vertices and re-selects only queued roots, so it costs what the
-operations since the last call changed, not ``O(|V|)``.
+chain, a broken-off vertex and its old parent's ancestor chain, a
+re-weighted vertex.  Each tree root keeps its cached selection; an
+operation drops the cached selections of the trees it touches and
+queues the resulting roots.  A call re-evaluates only stale vertices and
+re-selects only queued roots, so it costs what the operations since the
+last call changed, not ``O(|V|)``.
 
 Weight updates follow the paper's ``BreakTree`` discipline: a vertex's
 weight may only change while it is a tree by itself, so the forest first
-re-roots the vertex's tree at the vertex and severs its children
-(Fig. 3's positive-tree-to-positive-tree link is the motivating case).
+cuts the vertex from its parent and its children (Fig. 3's
+positive-tree-to-positive-tree link is the motivating case).  The cut
+re-roots nothing: a tree's selection does not depend on which of its
+vertices roots it, so each piece keeps whatever root it has.
 """
 
 from __future__ import annotations
@@ -80,16 +83,6 @@ class RegularForest:
         while self.parent[v] >= 0:
             v = self.parent[v]
         return v
-
-    def _chain(self, v: int) -> list[int]:
-        """``v`` and its ancestors, ending at the root."""
-        parent = self.parent
-        chain = [v]
-        v = parent[v]
-        while v >= 0:
-            chain.append(v)
-            v = parent[v]
-        return chain
 
     def tree_members(self, v: int) -> list[int]:
         """All vertices of the tree containing ``v`` (root-first BFS)."""
@@ -157,6 +150,24 @@ class RegularForest:
         self._unselect(child)   # the old root
         self._dirty.add(v)
 
+    def _touch(self, v: int) -> None:
+        """Mark ``v`` and its ancestors stale: their DP states changed.
+
+        The stale set is ancestor-closed, and a stale root has already
+        lost its selection and been queued, so the walk stops at the
+        first stale vertex; a walk that reaches the root does both.
+        """
+        parent = self.parent
+        stale = self._stale
+        while not stale[v]:
+            stale[v] = True
+            up = parent[v]
+            if up < 0:
+                self._unselect(v)
+                self._dirty.add(v)
+                return
+            v = up
+
     def link(self, p: int, q: int) -> None:
         """Store constraint (p, q): p drags q.  q's tree is merged under p.
 
@@ -164,54 +175,49 @@ class RegularForest:
         """
         if p == q:
             raise RetimingError("cannot link a vertex to itself")
-        root_p = self.root(p)
-        root_q = self.root(q)
-        if root_p == root_q:
+        if self.root(p) == self.root(q):
             raise RetimingError("link requires distinct trees")
-        self._link(p, q, root_p)
+        self._link(p, q)
 
-    def _link(self, p: int, q: int, root_p: int | None) -> None:
-        """:meth:`link` with ``p``'s root already known.
-
-        ``root_p`` is None when ``p``'s tree is a piece that
-        :meth:`break_tree` just cut off: its selection is already dropped
-        and its root queued.
-        """
-        if root_p is not None:
-            self._unselect(root_p)
-            self._dirty.add(root_p)
-        # q's tree loses its selection here when q roots it, else in
-        # _reroot.
-        self._unselect(q)
-        self._reroot(q)
-        self.parent[q] = p
+    def _link(self, p: int, q: int) -> None:
+        """:meth:`link` for ``p`` and ``q`` known to be in different trees."""
+        parent = self.parent
+        if parent[q] >= 0:
+            self._reroot(q)   # drops the selection of q's old root
+        else:
+            self._unselect(q)
+        parent[q] = p
         self.children[p].add(q)
         self.drags_parent[q] = False  # constraint (parent, child) = (p, q)
         self.n_constraints += 1
-        # p's states change, and so do its ancestors'; the stale set is
-        # ancestor-closed, so the walk stops at the first stale vertex.
-        parent = self.parent
-        stale = self._stale
-        while p >= 0 and not stale[p]:
-            stale[p] = True
-            p = parent[p]
+        self._touch(p)
 
     def break_tree(self, q: int) -> None:
         """The paper's BreakTree: isolate ``q`` as a singleton tree.
 
-        Re-roots ``q``'s tree at ``q`` and deletes the edges from ``q`` to
-        its children (those constraints are dropped; if still needed they
-        are re-discovered by later violations).
+        Deletes the edges from ``q`` to its parent and to its children
+        (those constraints are dropped; if still needed they are
+        re-discovered by later violations).  Nothing is re-rooted: the
+        piece above ``q`` keeps the old root and each child roots its own
+        subtree, which is sound because a tree's selection does not
+        depend on which vertex roots it.
         """
-        self._reroot(q)
-        self._unselect(q)
         parent = self.parent
         dirty = self._dirty
-        for child in self.children[q]:
+        up = parent[q]
+        if up < 0:
+            self._unselect(q)
+        else:
+            parent[q] = -1
+            self.children[up].discard(q)
+            self.n_constraints -= 1
+            self._touch(up)
+        cut = self.children[q]
+        for child in cut:
             parent[child] = -1
             dirty.add(child)
-            self.n_constraints -= 1
-        self.children[q].clear()
+        self.n_constraints -= len(cut)
+        cut.clear()
         self._stale[q] = True
         dirty.add(q)
 
@@ -242,26 +248,49 @@ class RegularForest:
         """
         if p == q:
             return True
-        chain_p = self._chain(p)
-        chain_q = self._chain(q)
-        if chain_p[-1] != chain_q[-1]:
-            return False
-        return self._implied(chain_p, chain_q)
+        return bool(self._meet(p, q))
 
-    def _implied(self, chain_p: list[int], chain_q: list[int]) -> bool:
-        """:meth:`implies` for two distinct vertices of one tree, given
-        their root chains."""
-        # The chains share the suffix from the LCA up to the root.
-        i = len(chain_p) - 1
-        j = len(chain_q) - 1
-        while i and j and chain_p[i - 1] == chain_q[j - 1]:
-            i -= 1
-            j -= 1
-        # Upward steps c -> parent must drag the parent; downward steps
-        # parent -> child must drag the child.
+    def _meet(self, p: int, q: int) -> bool | None:
+        """Whether the stored constraints imply (p, q) for ``q != p``:
+        None when ``q`` is in another tree.
+
+        Two plain walks to the roots decide the tree.  On the way, each
+        walk collects a short prefix: the ancestors ``p`` drags along an
+        upward path, and the ancestors that drag ``q`` along a downward
+        path.  A vertex in both is where a directed drag path
+        ``p -> ... -> q`` turns.  Only the two vertices' lowest common
+        ancestor can be one, since an edge above it would have to point
+        both ways, so the prefixes meet exactly when the tree path
+        between ``p`` and ``q`` is a drag path.
+        """
+        parent = self.parent
         drags_parent = self.drags_parent
-        return (all(drags_parent[c] for c in chain_p[:i])
-                and not any(drags_parent[c] for c in chain_q[:j]))
+        # p's ancestors that p drags, then on to p's root.
+        dragged = [p]
+        v = p
+        up = parent[v]
+        while up >= 0 and drags_parent[v]:
+            dragged.append(up)
+            v = up
+            up = parent[v]
+        while up >= 0:
+            v = up
+            up = parent[v]
+        root_p = v
+        # q's ancestors that drag q, then on to q's root.
+        draggers = [q]
+        v = q
+        up = parent[v]
+        while up >= 0 and not drags_parent[v]:
+            draggers.append(up)
+            v = up
+            up = parent[v]
+        while up >= 0:
+            v = up
+            up = parent[v]
+        if v != root_p:
+            return None
+        return not set(dragged).isdisjoint(draggers)
 
     # ------------------------------------------------------------------
     # Solver-facing API
@@ -282,17 +311,14 @@ class RegularForest:
         if self.weight[q] != required_weight:
             self.break_tree(q)
             self.set_weight(q, required_weight)
-            self._link(p, q, self.root(p))
+            self._link(p, q)
             return True
-        chain_p = self._chain(p)
-        chain_q = self._chain(q)
-        root_p = chain_p[-1]
-        if root_p == chain_q[-1]:
-            if self._implied(chain_p, chain_q):
+        implied = self._meet(p, q)
+        if implied is not None:   # one tree
+            if implied:
                 return False
             self.break_tree(q)
-            root_p = None
-        self._link(p, q, root_p)
+        self._link(p, q)
         return True
 
     def pin_tree(self, v: int) -> None:
@@ -306,15 +332,12 @@ class RegularForest:
         host = self.pinned
         if v == host:
             return
-        chain_v = self._chain(v)
-        chain_h = self._chain(host)
-        root_v = chain_v[-1]
-        if root_v == chain_h[-1]:
-            if self._implied(chain_v, chain_h):
+        implied = self._meet(v, host)
+        if implied is not None:   # one tree
+            if implied:
                 return
             self.break_tree(v)
-            root_v = None
-        self._link(v, host, root_v)
+        self._link(v, host)
 
     def positive_delta(self) -> np.ndarray:
         """Move amounts of the best candidate set ``I`` in the forest.
@@ -388,23 +411,37 @@ class RegularForest:
                     f_in[v] = acc_in if acc_in > _NEG else _NEG
                     f_out[v] = acc_out
                     stale[v] = False
-            # Backtrack the optimal states (ties go out).
+            # Backtrack the optimal states (ties go out), with one stack
+            # per state; an out-vertex whose best subtree value is 0 is
+            # not pushed, since nothing below it can be selected.
             chosen: list[int] = []
-            choose = [(root, f_in[root] > f_out[root])]
-            while choose:
-                v, inside = choose.pop()
+            inside: list[int] = []
+            outside: list[int] = []
+            if f_in[root] > f_out[root]:
+                inside.append(root)
+            elif f_out[root]:
+                outside.append(root)
+            while inside or outside:
                 if inside:
+                    v = inside.pop()
                     chosen.append(v)
                     delta[v] = weight[v]
                     for c in children[v]:
-                        choose.append(
-                            (c, f_in[c] > f_out[c] if drags_parent[c]
-                             else True))
-                elif f_out[v]:
+                        # (v, c): c must follow; (c, v): c is free.
+                        if drags_parent[c] and f_in[c] <= f_out[c]:
+                            if f_out[c]:
+                                outside.append(c)
+                        else:
+                            inside.append(c)
+                else:
+                    v = outside.pop()
                     for c in children[v]:
-                        choose.append(
-                            (c, False if drags_parent[c]
-                             else f_in[c] > f_out[c]))
+                        # (c, v): c must stay out; (v, c): c is free.
+                        if drags_parent[c] or f_in[c] <= f_out[c]:
+                            if f_out[c]:
+                                outside.append(c)
+                        else:
+                            inside.append(c)
             if chosen:
                 selection[root] = chosen
         self.evaluations += evaluated

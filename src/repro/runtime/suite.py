@@ -40,7 +40,7 @@ import numpy as np
 
 from .. import cache as analysis_cache
 from ..cache import cached, obs_digest, timing_digest
-from ..core.elw import _circuit_elws_impl, circuit_elws
+from ..core.elw import _circuit_elws_impl
 from ..core.initialization import InitialRetiming, initialize
 from ..core.minobswin import RetimingResult
 from ..errors import DeadlineExceeded, RetimingError
@@ -500,20 +500,9 @@ def _optimize_resilient(circuit: Circuit,
         if init_stage.degraded:
             degradations.append("init=degenerate")
 
-        # The original circuit's ELWs, computed once per circuit (a
-        # failure lands inside the ladder of the stage that first asked).
-        @functools.cache
-        def elws_of_original():
-            return circuit_elws(circuit, init.phi, setup, hold)
-
         # ---- original-circuit SER (reference for every outcome) ------
-        # With a cache active the analysis keeps its own "ser" entry
-        # (handed ELWs, it bypasses the cache); without one it reads the
-        # ELWs computed once above instead of computing them itself.
         def ser_of_original(ctx: Attempt) -> SerAnalysis:
-            elws = None if cache_obj is not None else elws_of_original()
-            return analyze_ser(circuit, init.phi, setup, hold, obs=obs,
-                               elws=elws)
+            return analyze_ser(circuit, init.phi, setup, hold, obs=obs)
 
         ser_stage = timed_ladder("ser-original",
                                  [("analyze", ser_of_original)])
@@ -554,10 +543,7 @@ def _optimize_resilient(circuit: Circuit,
                     guard_dict = guard.to_dict()
                     guard.raise_if_failed(f"{name}/{label}")
                 # The rebuild's ELWs from scratch (the flat kernel),
-                # uncached: each rebuild is analyzed once.  The original's
-                # entry is still looked up once per circuit, keeping the
-                # cache's lookup sequence (tests/cache/test_keys.py).
-                elws_of_original()
+                # uncached: each rebuild is analyzed once.
                 elws = _circuit_elws_impl(retimed, init.phi, setup, hold)
                 ser = analyze_ser(retimed, init.phi, setup, hold, obs=obs,
                                   elws=elws)

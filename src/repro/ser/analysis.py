@@ -126,8 +126,7 @@ def analyze_ser(circuit: Circuit, phi: float,
         Precomputed per-net ELWs (must match ``(phi, setup, hold)``).
         When omitted, :func:`~repro.core.elw.circuit_elws` is run here.
         The suite passes each retimed rebuild's ELWs, computed once by
-        the uncached kernel, and the original circuit's own ELWs when
-        no cache is active, so they are computed once per circuit.
+        the uncached kernel.
 
     Cached under analysis kind ``"ser"`` when an analysis cache is
     active and ``elws`` is not supplied (precomputed ELWs have no

@@ -112,7 +112,7 @@ class TestKeysArePinned:
             "ser": ["17efaaaadea2eafb114626ff62a24802"
                     "253a67544a1ad3ee5976ce550a7f85da"],
             "elw": ["d1d47414731f9af74e18d655280f3640"
-                    "51967381c8bfbb420c930bc5e7a923ac"] * 2,
+                    "51967381c8bfbb420c930bc5e7a923ac"],
             "solve": ["e6de26894c4dd4650ecce58dee5c78aa"
                       "76cbe5cc40857c912299f098ada3af90",
                       "e63a28ceb563b6edc50e4d561f8263bf"

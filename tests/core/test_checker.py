@@ -165,19 +165,19 @@ class TestViolation:
     def test_note_renders_once_on_first_read(self):
         calls = []
 
-        def render():
-            calls.append(1)
-            return "rendered"
+        def render(violation):
+            calls.append(violation)
+            return f"rendered {violation.vertex}"
 
         lazy = constraints.Violation("P1", 3, 4, 1, vertex=4, note=render)
         assert not calls
-        assert lazy.note == "rendered" and lazy.note == "rendered"
-        assert calls == [1]
+        assert lazy.note == "rendered 4" and lazy.note == "rendered 4"
+        assert calls == [lazy]
 
     def test_equality_compares_the_rendered_note(self):
         plain = constraints.Violation("P0", 1, 2, 1, edge=5, note="n")
         lazy = constraints.Violation("P0", 1, 2, 1, edge=5,
-                                     note=lambda: "n")
+                                     note=lambda violation: "n")
         assert plain == lazy
         assert plain != constraints.Violation("P0", 1, 2, 1, edge=5,
                                               note="m")

@@ -380,19 +380,99 @@ class TestRandomizedInvariants:
 OPS = ("add", "pin", "break", "weight", "reroot", "reset")
 
 
+class PairModel:
+    """Naive reference for the forest's structure: the set of stored
+    constraints as directed pairs, and the move weights.
+
+    It decides every operation from the pairs alone: trees are the
+    connected components, a constraint is implied when a directed path
+    leads from p to q, and BreakTree drops exactly the pairs incident to
+    the vertex.
+    """
+
+    def __init__(self, n, pinned):
+        self.n = n
+        self.pinned = pinned
+        self.reset()
+
+    def reset(self):
+        self.pairs = set()
+        self.weight = [1] * self.n
+        self.weight[self.pinned] = 0
+
+    def partition(self):
+        component = list(range(self.n))
+
+        def find(v):
+            while component[v] != v:
+                v = component[v]
+            return v
+
+        for p, q in self.pairs:
+            component[find(p)] = find(q)
+        groups = {}
+        for v in range(self.n):
+            groups.setdefault(find(v), set()).add(v)
+        return {frozenset(group) for group in groups.values()}
+
+    def _same_tree(self, p, q):
+        return any(p in group and q in group for group in self.partition())
+
+    def _reaches(self, p, q):
+        seen, stack = {p}, [p]
+        while stack:
+            v = stack.pop()
+            for a, b in self.pairs:
+                if a == v and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return q in seen
+
+    def break_tree(self, q):
+        self.pairs = {(a, b) for a, b in self.pairs if q not in (a, b)}
+
+    def _record(self, p, q, cut):
+        """Store (p, q) unless implied; in one tree, first cut ``cut``
+        loose (q for a constraint, p for a pin: the host stays)."""
+        if self._same_tree(p, q):
+            if self._reaches(p, q):
+                return False
+            self.break_tree(cut)
+        self.pairs.add((p, q))
+        return True
+
+    def add_constraint(self, p, q, w):
+        if p == q:
+            return False
+        if self.weight[q] != w:
+            self.break_tree(q)
+            self.weight[q] = w
+            self.pairs.add((p, q))
+            return True
+        return self._record(p, q, q)
+
+    def pin_tree(self, v):
+        if v != self.pinned:
+            self._record(v, self.pinned, v)
+
+
 class TestIncrementalOracle:
-    """The incremental DP against the full reference DP."""
+    """The incremental DP against the full reference DP, and the
+    forest's structure against a naive model."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_random_operation_sequences(self, data):
         """After any sequence of forest operations -- checked after each
         one, or after a batch of them -- positive_delta equals the full
-        DP over the forest as it stands."""
+        DP over the forest as it stands.  After every operation the
+        stored constraints, the trees and the constraint count match
+        the pair model."""
         n = data.draw(st.integers(2, 14))
         pinned = data.draw(st.integers(0, n - 1))
         f = forest([data.draw(st.integers(-8, 8)) for _ in range(n)],
                    pinned=pinned)
+        model = PairModel(n, pinned)
         vertex = st.integers(0, n - 1)
         for _ in range(data.draw(st.integers(1, 50))):
             op = data.draw(st.sampled_from(OPS))
@@ -400,18 +480,34 @@ class TestIncrementalOracle:
             if op == "add":
                 q = data.draw(vertex)
                 if q != pinned:
-                    f.add_constraint(v, q, data.draw(st.integers(1, 4)))
+                    w = data.draw(st.integers(1, 4))
+                    assert f.add_constraint(v, q, w) == \
+                        model.add_constraint(v, q, w)
             elif op == "pin":
                 f.pin_tree(v)
+                model.pin_tree(v)
             elif op == "break":
                 f.break_tree(v)
+                model.break_tree(v)
             elif op == "weight":
                 if v != pinned and f.is_singleton(v):
-                    f.set_weight(v, data.draw(st.integers(1, 4)))
+                    w = data.draw(st.integers(1, 4))
+                    f.set_weight(v, w)
+                    model.weight[v] = w
             elif op == "reroot":
                 f._reroot(v)
             else:
                 f.reset()
+                model.reset()
+            constraints = f.constraints()
+            assert set(constraints) == model.pairs
+            assert f.n_constraints == len(constraints)
+            trees = {}
+            for u in range(n):
+                trees.setdefault(f.root(u), set()).add(u)
+            assert {frozenset(t) for t in trees.values()} == \
+                model.partition()
+            assert f.weight == model.weight
             if data.draw(st.booleans()):
                 assert (f.positive_delta() == reference_delta(f)).all()
         assert (f.positive_delta() == reference_delta(f)).all()
