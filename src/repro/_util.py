@@ -129,17 +129,6 @@ def check_name(name: str, kind: str) -> str:
     return name
 
 
-def stable_unique(items: Iterable[T]) -> list[T]:
-    """Return items de-duplicated, preserving first-seen order."""
-    seen: set[T] = set()
-    out: list[T] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

@@ -1,11 +1,12 @@
 """Content-addressed analysis cache with an in-memory LRU front.
 
 The expensive analyses of the Table I flow -- n-time-frame signature
-observability, exact-ELW timing analysis, eq. (4) SER aggregation, the
-Sec. V initialization and the solvers themselves -- are pure functions
-of (circuit, parameters).  Most of those inputs repeat verbatim across
-retiming candidates, suite resumes, parallel workers and chaos re-runs,
-so this package memoizes them under a *content-addressed* key::
+observability (kind ``obs``), the Sec. V initialization (``init``), the
+solvers themselves (``solve``) and the post-retime guard (``guard``) --
+are pure functions of (circuit, parameters).  Most of those inputs
+repeat verbatim across retiming candidates, suite resumes, parallel
+workers and chaos re-runs, so this package memoizes them under a
+*content-addressed* key::
 
     (canonical circuit digest, analysis kind, params digest)
 
@@ -28,8 +29,10 @@ bit-identical to cold ones (proved by the differential test layer in
 The cache is *opt-in*: no global cache is active until
 :func:`configure` (or the CLI ``--cache`` / ``--cache-dir`` flags)
 installs one, and an uncached call costs one module-global ``None``
-check.  See ``docs/algorithm.md`` (analysis cache section) for the key
-scheme.
+check.  Exact-ELW and eq. (4) SER analyses are not cached: they cost
+less to recompute than a key, an encode and a disk write.  See
+``docs/algorithm.md`` (analysis cache section) for the key scheme and
+the per-kind measurements.
 """
 
 from .store import (MISS, AnalysisCache, CacheStats, activated, active,

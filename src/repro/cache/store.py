@@ -5,7 +5,7 @@ Disk-entry schema (``format: repro-analysis-cache``, version 1)::
     {
       "format": "repro-analysis-cache",
       "version": 1,
-      "kind": "observability" | "elw" | "ser" | "init" | "solve" | "guard",
+      "kind": "obs" | "init" | "solve" | "guard",
       "circuit": "<sha256 hex of the canonical circuit>",
       "params": { ...the result-determining parameters, verbatim... },
       "value": ...analysis-specific JSON...,
@@ -79,11 +79,12 @@ def timing_digest(circuit) -> str:
     """Circuit digest covering function *and* timing characterization.
 
     :meth:`repro.netlist.circuit.Circuit.fingerprint` deliberately
-    excludes the cell library; ELW / SER / initialization results depend
-    on gate delays, raw rates and the register setup/hold times, so
-    cache keys for those kinds use this digest instead: the functional
-    fingerprint extended with every library quantity the analyses read
-    for the (op, arity) pairs the circuit actually instantiates.
+    excludes the cell library; initialization, solver and guard results
+    depend on gate delays and the register setup/hold times, so cache
+    keys for those kinds use this digest instead: the functional
+    fingerprint extended with the delay and raw SER rate of every
+    (op, arity) pair the circuit instantiates and the register's
+    setup, hold and rate.
     """
     cells = sorted({(g.op, len(g.inputs)) for g in circuit.gates.values()})
     body = {

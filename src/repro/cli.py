@@ -39,9 +39,9 @@ parent saves each circuit as its result arrives) and the process exits with
 :data:`INTERRUPT_EXIT_CODE` so callers can distinguish "operator
 stopped it, resume later" from real failures.
 
-``table1``, ``chaos`` and ``matrix`` accept ``--trace``/``--trace-dir``
+``table1``, ``chaos`` and ``matrix`` accept ``--trace FILE``
 (structured span trace of the run) and ``--metrics-out``
-(metrics-registry dump); ``analyze`` accepts ``--trace``/``--trace-dir``
+(metrics-registry dump); ``analyze`` accepts ``--trace FILE``
 (one span per phase: parse, graph and period, observability, SER);
 ``table1`` and ``serve`` additionally accept
 ``--profile`` (periodic stack-sampling profiler, rendered by ``trace
@@ -114,7 +114,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .telemetry import Tracer
     from .telemetry import spans as telemetry
 
-    trace_path = _trace_path(args, "analyze")
+    trace_path = args.trace
     tracer = Tracer(trace_path, meta={"kind": "analyze",
                                       "netlist": args.netlist}) \
         if trace_path else None
@@ -198,7 +198,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     from .ser.report import format_comparison
 
     names = args.circuits or [row.name for row in TABLE1_ROWS]
-    trace_path = _trace_path(args, "table1")
+    trace_path = args.trace
     profiler = _start_profiler(args)
     config = SuiteConfig(
         circuits=tuple(names), scale=args.scale, seed=args.seed,
@@ -257,17 +257,6 @@ def _finish_profiler(args: argparse.Namespace, profiler) -> None:
           f"'repro-ser trace flame {args.profile}'", file=sys.stderr)
 
 
-def _trace_path(args: argparse.Namespace, command: str) -> str | None:
-    """Resolve the ``--trace`` / ``--trace-dir`` pair to one file path."""
-    if args.trace:
-        return args.trace
-    if args.trace_dir:
-        import os
-
-        return os.path.join(args.trace_dir, f"trace-{command}.jsonl")
-    return None
-
-
 def _finish_telemetry(args: argparse.Namespace,
                       trace_path: str | None) -> None:
     """Post-run telemetry outputs: trace notice and metrics dump."""
@@ -309,7 +298,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         cache_dir = tempfile.mkdtemp(prefix="repro-chaos-cache-")
         print(f"analysis cache for chaos run in {cache_dir}",
               file=sys.stderr)
-    trace_path = _trace_path(args, "chaos")
+    trace_path = args.trace
     if trace_path and args.kill_prob > 0:
         # The kill harness re-runs the CLI in subprocesses; a hard kill
         # mid-append could tear the shared trace file in the middle of
@@ -370,7 +359,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service.app import RetimingService, ServiceConfig
 
-    trace_path = _trace_path(args, "serve")
+    trace_path = args.trace
     config = ServiceConfig(
         root=args.root, host=args.host, port=args.port, pool=args.pool,
         queue_limit=args.queue_limit, rate=args.rate, burst=args.burst,
@@ -495,7 +484,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     from .corpus import run_matrix, write_digest_table
 
-    trace_path = _trace_path(args, "matrix")
+    trace_path = args.trace
     progress = (lambda line: print(line, file=sys.stderr)) \
         if args.verbose else None
     result = run_matrix(
@@ -573,9 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a structured span trace (JSONL) of "
                             "the run here; read it back with "
                             "'repro-ser trace'")
-        p.add_argument("--trace-dir", default=None, metavar="DIR",
-                       help="like --trace, but pick the file name "
-                            "(trace-<command>.jsonl) inside DIR")
 
     def trace_opts(p):
         trace_file_opts(p)
@@ -820,9 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "every job becomes one merged span tree "
                         "(admission -> queue wait -> execute -> "
                         "persist), sandbox subprocesses included")
-    p.add_argument("--trace-dir", default=None, metavar="DIR",
-                   help="like --trace, but pick the file name "
-                        "(trace-serve.jsonl) inside DIR")
     p.add_argument("--access-log", default=None, metavar="FILE",
                    help="append one JSONL line per HTTP request here "
                         "(carries the request's trace id)")

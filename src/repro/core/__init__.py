@@ -15,7 +15,7 @@
 """
 
 from .intervals import IntervalSet
-from .elw import circuit_elws, graph_elws, register_elws
+from .elw import circuit_elws, graph_elws
 from .constraints import Problem, Violation, check_constraints, gains
 from .regular_forest import RegularForest
 from .minobs import minobs_retiming
@@ -32,7 +32,6 @@ __all__ = [
     "IntervalSet",
     "circuit_elws",
     "graph_elws",
-    "register_elws",
     "Problem",
     "Violation",
     "check_constraints",

@@ -25,7 +25,6 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .._util import nogc
-from ..cache import cached, timing_digest
 from ..graph.retiming_graph import RetimingGraph
 from ..netlist.circuit import Circuit
 from ..telemetry import REGISTRY, spans as telemetry
@@ -64,21 +63,6 @@ def graph_elws(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
     return elws
 
 
-def _encode_elws(elws: Mapping[str, IntervalSet]) -> dict:
-    """Cache encoding: interval endpoint pairs per net.
-
-    Endpoints are Python floats (exact JSON round-trip); the
-    :class:`IntervalSet` constructor is the identity on already-disjoint
-    sorted pairs, so a decoded set compares ``==`` to the original.
-    """
-    return {net: [[left, right] for left, right in elw.intervals]
-            for net, elw in elws.items()}
-
-
-def _decode_elws(payload: Mapping[str, list]) -> dict[str, IntervalSet]:
-    return {net: IntervalSet(pairs) for net, pairs in payload.items()}
-
-
 @nogc
 def circuit_elws(circuit: Circuit, phi: float, setup: float = 0.0,
                  hold: float = 2.0) -> dict[str, IntervalSet]:
@@ -91,60 +75,38 @@ def circuit_elws(circuit: Circuit, phi: float, setup: float = 0.0,
       latch points, ``g in RO``);
     * a gate ``f``: ``ELW(f) - d(f)``.
 
-    Cached under analysis kind ``"elw"`` when an analysis cache is
-    active; ELWs depend on gate delays and register timing, so the key
-    uses :func:`repro.cache.timing_digest`, not the purely functional
-    fingerprint.
+    Runs the flat kernel when the circuit lowers; the object walk below
+    is that kernel's test reference.
     """
     with telemetry.span("elw", circuit=circuit.name):
-        return cached("elw", lambda: (timing_digest(circuit), {
-                          "phi": float(phi), "setup": float(setup),
-                          "hold": float(hold)}),
-                      compute=lambda: _circuit_elws_impl(circuit, phi,
-                                                         setup, hold),
-                      encode=_encode_elws, decode=_decode_elws)
+        window = latching_window(phi, setup, hold)
 
+        from ..flatcore import arena
 
-def _circuit_elws_impl(circuit: Circuit, phi: float, setup: float,
-                       hold: float) -> dict[str, IntervalSet]:
-    window = latching_window(phi, setup, hold)
+        flat = arena.flat_for(circuit)
+        if flat is not None:
+            from ..flatcore.kernels import circuit_elws_flat
 
-    from ..flatcore import arena
+            return circuit_elws_flat(flat, window)
 
-    flat = arena.flat_for(circuit)
-    if flat is not None:
-        from ..flatcore.kernels import circuit_elws_flat
+        po_nets, gate_readers, dff_read = _reader_maps(circuit)
+        elws: dict[str, IntervalSet] = {}
 
-        return circuit_elws_flat(flat, window)
+        def net_elw(net: str) -> IntervalSet:
+            parts: list[IntervalSet] = []
+            if net in po_nets or dff_read[net]:
+                parts.append(window)
+            for reader in gate_readers[net]:
+                parts.append(elws[reader] - circuit.gate_delay(reader))
+            if not parts:
+                return IntervalSet.empty()
+            return parts[0].union(*parts[1:])
 
-    po_nets = set(circuit.outputs)
-
-    # Readers per net.
-    gate_readers: dict[str, list[str]] = {n: [] for n in circuit.nets}
-    dff_read: dict[str, bool] = {n: False for n in circuit.nets}
-    for gate in circuit.gates.values():
-        for net in set(gate.inputs):
-            gate_readers[net].append(gate.name)
-    for dff in circuit.dffs.values():
-        dff_read[dff.d] = True
-
-    elws: dict[str, IntervalSet] = {}
-
-    def net_elw(net: str) -> IntervalSet:
-        parts: list[IntervalSet] = []
-        if net in po_nets or dff_read[net]:
-            parts.append(window)
-        for reader in gate_readers[net]:
-            parts.append(elws[reader] - circuit.gate_delay(reader))
-        if not parts:
-            return IntervalSet.empty()
-        return parts[0].union(*parts[1:])
-
-    for gate_name in reversed(circuit.topo_gates()):
-        elws[gate_name] = net_elw(gate_name)
-    for net in list(circuit.inputs) + list(circuit.dffs):
-        elws[net] = net_elw(net)
-    return elws
+        for gate_name in reversed(circuit.topo_gates()):
+            elws[gate_name] = net_elw(gate_name)
+        for net in list(circuit.inputs) + list(circuit.dffs):
+            elws[net] = net_elw(net)
+        return elws
 
 
 def _reader_maps(circuit: Circuit) -> tuple[set, dict, dict]:
@@ -279,14 +241,3 @@ def _incremental_circuit_elws(circuit: Circuit, base_circuit: Circuit,
         visit(net)
     return elws, {"reused": reused, "recomputed": recomputed,
                   "fallback": False}
-
-
-def register_elws(circuit: Circuit, phi: float, setup: float = 0.0,
-                  hold: float = 2.0,
-                  elws: Mapping[str, IntervalSet] | None = None,
-                  ) -> dict[str, IntervalSet]:
-    """ELW of every flip-flop output net (subset view of
-    :func:`circuit_elws`)."""
-    if elws is None:
-        elws = circuit_elws(circuit, phi, setup, hold)
-    return {name: elws[name] for name in circuit.dffs}

@@ -172,10 +172,6 @@ class IntervalSet:
                 j += 1
         return IntervalSet(out)
 
-    def clip(self, left: float, right: float) -> "IntervalSet":
-        """Intersection with a single interval ``[left, right]``."""
-        return self.intersect(IntervalSet.single(left, right))
-
     # ------------------------------------------------------------------
     # Dunder plumbing
     # ------------------------------------------------------------------

@@ -94,11 +94,6 @@ class RegularForest:
             stack.extend(self.children[node])
         return members
 
-    def tree_gain(self, v: int) -> int:
-        """``b(T) = sum b(v) w(v)`` of the tree containing ``v``."""
-        return int(sum(int(self.b[m]) * self.weight[m]
-                       for m in self.tree_members(v)))
-
     def constraints(self) -> list[tuple[int, int]]:
         """All stored active constraints ``(p, q)``: p drags q."""
         out: list[tuple[int, int]] = []

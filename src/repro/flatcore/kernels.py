@@ -418,7 +418,8 @@ def observability_flat(flat: FlatCircuit,
 
 def circuit_elws_flat(flat: FlatCircuit,
                       window: IntervalSet) -> dict[str, IntervalSet]:
-    """Flat replacement for ``repro.core.elw._circuit_elws_impl``.
+    """Flat replacement for the object walk of
+    :func:`repro.core.elw.circuit_elws`.
 
     Walks nets in the same reverse-topological order, but builds each
     net's ELW with a *single* :class:`IntervalSet` construction from raw

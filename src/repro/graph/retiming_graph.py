@@ -180,10 +180,6 @@ class RetimingGraph:
         """Number of edges."""
         return len(self.edges)
 
-    def delay_of(self, v: int | str) -> float:
-        """Delay of vertex ``v``."""
-        return self.delays[self.index[v] if isinstance(v, str) else v]
-
     def zero_retiming(self) -> np.ndarray:
         """The identity retiming (all zeros)."""
         return np.zeros(self.n_vertices, dtype=np.int64)

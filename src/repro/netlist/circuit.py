@@ -351,18 +351,3 @@ class Circuit:
         return (f"Circuit({self.name!r}, inputs={len(self.inputs)}, "
                 f"outputs={len(self.outputs)}, gates={self.n_gates}, "
                 f"dffs={self.n_dffs})")
-
-    # ------------------------------------------------------------------
-    # Convenience iteration
-    # ------------------------------------------------------------------
-
-    def observation_points(self) -> list[tuple[str, str]]:
-        """Points where a propagating error becomes observable.
-
-        Returns ``(kind, net)`` pairs where kind is ``'po'`` for primary
-        outputs and ``'dff'`` for flip-flop data inputs; ``net`` is the
-        observed net.
-        """
-        points: list[tuple[str, str]] = [("po", net) for net in self.outputs]
-        points.extend(("dff", dff.d) for dff in self.dffs.values())
-        return points

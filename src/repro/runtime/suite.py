@@ -40,7 +40,6 @@ import numpy as np
 
 from .. import cache as analysis_cache
 from ..cache import cached, obs_digest, timing_digest
-from ..core.elw import _circuit_elws_impl
 from ..core.initialization import InitialRetiming, initialize
 from ..core.minobswin import RetimingResult
 from ..errors import DeadlineExceeded, RetimingError
@@ -422,11 +421,12 @@ def _optimize_resilient(circuit: Circuit,
                 "failures": [f.to_dict() for f in failures],
                 "perf": perf_snapshot()}
 
-    def timed_ladder(stage, rungs):
+    @contextmanager
+    def timed(stage):
         t_stage = time.perf_counter()
         with telemetry.span(f"stage:{stage}"):
             try:
-                return ladder(stage, rungs)
+                yield
             finally:
                 elapsed = time.perf_counter() - t_stage
                 stage_times[stage] = elapsed
@@ -435,19 +435,17 @@ def _optimize_resilient(circuit: Circuit,
                     help="Wall-clock seconds per pipeline stage",
                 ).observe(elapsed)
 
+    def timed_ladder(stage, rungs):
+        with timed(stage):
+            return ladder(stage, rungs)
+
     # ---- stage 1: graph construction (no meaningful degradation) -----
     graph: RetimingGraph | None = None
-    t_prepare = time.perf_counter()
     try:
-        with telemetry.span("stage:prepare"):
+        with timed("prepare"):
             validate_circuit(circuit)
             graph = RetimingGraph.from_circuit(circuit)
     except Exception as exc:
-        stage_times["prepare"] = time.perf_counter() - t_prepare
-        REGISTRY.histogram(
-            "stage.seconds.prepare",
-            help="Wall-clock seconds per pipeline stage",
-        ).observe(stage_times["prepare"])
         if config.strict:
             raise
         failures.append(FailureRecord(
@@ -459,11 +457,6 @@ def _optimize_resilient(circuit: Circuit,
                           status="failed:prepare",
                           elapsed=time.perf_counter() - t0,
                           failures=failures)
-    stage_times["prepare"] = time.perf_counter() - t_prepare
-    REGISTRY.histogram(
-        "stage.seconds.prepare",
-        help="Wall-clock seconds per pipeline stage",
-    ).observe(stage_times["prepare"])
 
     setup = circuit.library.setup_time
     hold = circuit.library.hold_time
@@ -542,11 +535,7 @@ def _optimize_resilient(circuit: Circuit,
                         setup, exact_states=exact, seed=config.seed)
                     guard_dict = guard.to_dict()
                     guard.raise_if_failed(f"{name}/{label}")
-                # The rebuild's ELWs from scratch (the flat kernel),
-                # uncached: each rebuild is analyzed once.
-                elws = _circuit_elws_impl(retimed, init.phi, setup, hold)
-                ser = analyze_ser(retimed, init.phi, setup, hold, obs=obs,
-                                  elws=elws)
+                ser = analyze_ser(retimed, init.phi, setup, hold, obs=obs)
                 outcome = AlgorithmOutcome(result=solved, circuit=retimed,
                                            ser=ser,
                                            registers=retimed.n_dffs)

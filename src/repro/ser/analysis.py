@@ -24,7 +24,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .._util import nogc
-from ..cache import cached, obs_digest, timing_digest
 from ..core.elw import circuit_elws
 from ..core.intervals import IntervalSet
 from ..errors import AnalysisError
@@ -84,23 +83,6 @@ def extend_obs_to_registers(circuit: Circuit,
     return full
 
 
-def _encode_ser(analysis: SerAnalysis) -> dict:
-    return {"total": analysis.total, "comb": analysis.comb,
-            "reg": analysis.reg,
-            "total_no_timing": analysis.total_no_timing,
-            "per_element": analysis.per_element,
-            "phi": analysis.phi, "setup": analysis.setup,
-            "hold": analysis.hold}
-
-
-def _decode_ser(payload: dict) -> SerAnalysis:
-    return SerAnalysis(
-        total=payload["total"], comb=payload["comb"], reg=payload["reg"],
-        total_no_timing=payload["total_no_timing"],
-        per_element=dict(payload["per_element"]),
-        phi=payload["phi"], setup=payload["setup"], hold=payload["hold"])
-
-
 @nogc
 def analyze_ser(circuit: Circuit, phi: float,
                 setup: float | None = None, hold: float | None = None,
@@ -125,12 +107,8 @@ def analyze_ser(circuit: Circuit, phi: float,
     elws:
         Precomputed per-net ELWs (must match ``(phi, setup, hold)``).
         When omitted, :func:`~repro.core.elw.circuit_elws` is run here.
-        The suite passes each retimed rebuild's ELWs, computed once by
-        the uncached kernel.
-
-    Cached under analysis kind ``"ser"`` when an analysis cache is
-    active and ``elws`` is not supplied (precomputed ELWs have no
-    compact digest).
+        ``benchmarks/bench_flatcore.py`` passes them to time the
+        aggregation alone.
     """
     if phi <= 0:
         raise AnalysisError("clock period must be positive")
@@ -139,25 +117,9 @@ def analyze_ser(circuit: Circuit, phi: float,
         setup = circuit.library.setup_time
     if hold is None:
         hold = circuit.library.hold_time
-
-    def compute() -> SerAnalysis:
+    with telemetry.span("ser.analyze", circuit=circuit.name):
         return _analyze_ser_impl(circuit, phi, setup, hold, obs,
                                  n_frames, n_patterns, seed, elws)
-
-    def key() -> tuple[str, dict]:
-        return timing_digest(circuit), {
-            "phi": float(phi), "setup": float(setup), "hold": float(hold),
-            "obs": obs_digest(obs) if obs is not None else None,
-            "sim": None if obs is not None
-            else [int(n_frames), int(n_patterns), int(seed)],
-        }
-
-    with telemetry.span("ser.analyze", circuit=circuit.name,
-                        precomputed_elws=elws is not None):
-        if elws is not None:
-            return compute()
-        return cached("ser", key, compute=compute,
-                      encode=_encode_ser, decode=_decode_ser)
 
 
 def _analyze_ser_impl(circuit: Circuit, phi: float, setup: float,

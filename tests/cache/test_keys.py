@@ -72,9 +72,8 @@ class TestNoDigestWithoutCache:
 
 class TestOriginalElwsOnce:
     def test_cache_off_suite(self, monkeypatch):
-        # The original circuit's ELWs are computed once, for its own
-        # SER; the retimed rebuilds' ELWs come from the uncached kernel,
-        # which this count does not see.
+        # Every circuit's ELWs go through circuit_elws exactly once: the
+        # original's for its own SER, then each retimed rebuild's.
         calls: list[str] = []
         original = circuit_elws
 
@@ -91,7 +90,7 @@ class TestOriginalElwsOnce:
         result = run_suite(config, circuit_factory=lambda name:
                            corpus_circuit("small", name))
         assert [run.status for run in result.runs] == ["ok"]
-        assert calls == [NAME]
+        assert calls == [NAME, f"{NAME}_minobs", f"{NAME}_minobswin"]
 
 
 class TestKeysArePinned:
@@ -109,10 +108,6 @@ class TestKeysArePinned:
                     "63cfbb0d4731fd8a31c276021a4853d8"],
             "init": ["aad497538aa370501246b8951d21e0e0"
                      "95481c6952a1519084568a43a39f4edf"],
-            "ser": ["17efaaaadea2eafb114626ff62a24802"
-                    "253a67544a1ad3ee5976ce550a7f85da"],
-            "elw": ["d1d47414731f9af74e18d655280f3640"
-                    "51967381c8bfbb420c930bc5e7a923ac"],
             "solve": ["e6de26894c4dd4650ecce58dee5c78aa"
                       "76cbe5cc40857c912299f098ada3af90",
                       "e63a28ceb563b6edc50e4d561f8263bf"
@@ -122,16 +117,12 @@ class TestKeysArePinned:
         }
 
     def test_simulated_ser_keys(self):
-        # analyze_ser without an obs map keys on its simulation knobs.
+        # analyze_ser without an obs map looks up only its simulation.
         recorder = KeyRecorder()
         with activated(recorder):
             analyze_ser(corpus_circuit("small", NAME), 12.0, n_frames=2,
                         n_patterns=32, seed=0)
         assert recorder.keys == {
-            "ser": ["0a70539b831e12f2faaacb4f0d1525b1"
-                    "7d931943fd9085a37eff3af29e6d6f6a"],
             "obs": ["df10ba75a205cb50bb04da394dae59c8"
                     "63cfbb0d4731fd8a31c276021a4853d8"],
-            "elw": ["b66f16e688269eb3228fea759ca1deff"
-                    "308704ac6ed2bc46c5f353f19e1691db"],
         }

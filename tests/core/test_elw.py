@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.elw import circuit_elws, graph_elws, latching_window, register_elws
+from repro.core.elw import circuit_elws, graph_elws, latching_window
 from repro.graph.retiming_graph import RetimingGraph
 from repro.netlist import Circuit
 from tests.conftest import tiny_random
@@ -52,12 +52,6 @@ class TestCircuitElws:
         # a latches through fast (shift 1) and slow->slow2 (shift 4)
         assert elws["a"].intervals == ((6.0, 8.0), (9.0, 11.0))
         assert elws["a"].measure == pytest.approx(4.0)
-
-    def test_register_elws_view(self, tiny_circuit):
-        full = circuit_elws(tiny_circuit, phi=12)
-        regs = register_elws(tiny_circuit, phi=12)
-        assert set(regs) == set(tiny_circuit.dffs)
-        assert regs["s1"] == full["s1"]
 
     def test_unobservable_net_empty(self):
         c = Circuit("dead")

@@ -72,10 +72,6 @@ class TestAlgebra:
     def test_intersect_disjoint(self):
         assert (IntervalSet.single(0, 1) & IntervalSet.single(2, 3)).is_empty
 
-    def test_clip(self):
-        s = IntervalSet([(0, 10)]).clip(2, 4)
-        assert s.intervals == ((2.0, 4.0),)
-
     def test_contains(self):
         s = IntervalSet([(0, 1), (3, 4)])
         assert s.contains(0.5)

@@ -164,7 +164,9 @@ class TestStructure:
     def test_tree_gain_weighted(self):
         f = forest([0, 5, -2])
         f.add_constraint(1, 2, 3)   # weight(2) = 3
-        assert f.tree_gain(1) == 5 * 1 + (-2) * 3
+        # b(T) = sum b(v) w(v) over the tree holding 1 and 2.
+        assert sum(int(f.b[m]) * f.weight[m]
+                   for m in f.tree_members(1)) == 5 * 1 + (-2) * 3
 
 
 class TestPositiveDelta:

@@ -70,7 +70,7 @@ class TestFromCircuit:
 
     def test_delays_from_library(self, tiny_circuit):
         g = RetimingGraph.from_circuit(tiny_circuit)
-        assert g.delay_of("g1") == tiny_circuit.gate_delay("g1")
+        assert g.delays[g.index["g1"]] == tiny_circuit.gate_delay("g1")
 
     def test_src_net_through_chain(self):
         c = Circuit("chain")

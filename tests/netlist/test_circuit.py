@@ -108,12 +108,6 @@ class TestQueries:
         assert stats == {"inputs": 2, "outputs": 1, "gates": 3,
                          "dffs": 1, "connections": 5}
 
-    def test_observation_points(self):
-        c = build_tiny()
-        points = c.observation_points()
-        assert ("po", "y") in points
-        assert ("dff", "g2") in points
-
 
 def random_registered(seed: int) -> Circuit:
     """Random gates plus flip-flops that may read other flip-flops.

@@ -9,7 +9,6 @@ from repro._util import (
     check_name,
     format_table,
     percent,
-    stable_unique,
     topological_order,
 )
 from repro.corpus.families import corpus_circuit, tier_specs
@@ -144,14 +143,6 @@ class TestCheckName:
     def test_non_string(self):
         with pytest.raises(ValueError):
             check_name(3, "net")  # type: ignore[arg-type]
-
-
-class TestStableUnique:
-    def test_preserves_order(self):
-        assert stable_unique([3, 1, 3, 2, 1]) == [3, 1, 2]
-
-    def test_empty(self):
-        assert stable_unique([]) == []
 
 
 class TestFormatTable:
